@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus lint, in one command, fully offline.
 #
-#   ./ci.sh          # build + test + clippy
+#   ./ci.sh          # build + test (workspace and perfbench) + clippy
 #   ./ci.sh bench    # additionally run the three bench harnesses (fast knobs)
 #
 # The workspace has zero external dependencies by design (see README.md), so
@@ -18,6 +18,12 @@ cargo build --release --offline
 
 echo "==> cargo test -q --offline"
 cargo test -q --offline
+
+# The benchmark is a package of its own (perfbench/), outside the workspace;
+# its tests run with tier-1 so a change to the program cannot break them
+# unnoticed.
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --all-targets --offline -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings

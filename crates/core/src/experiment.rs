@@ -9,7 +9,7 @@ use crate::rng::{Rng, SmallRng};
 use crate::technique::Technique;
 use crate::telemetry::{Metric, TelemetryLevel, TelemetrySink};
 use mbfi_ir::{CompiledModule, Module};
-use mbfi_vm::{Vm, WalkerVm};
+use mbfi_vm::{Limits, NoopHook, RunOutcome, RunResult, Vm, WalkerVm};
 
 /// Everything needed to run (and reproduce) one experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,10 +109,22 @@ pub struct ExperimentResult {
 }
 
 /// Cost accounting of one experiment run, surfaced to telemetry only.
+///
+/// The run's logical dynamic instructions split as `restored_dyn` (the
+/// replayed prefix) + `hooked_instrs` + `hook_free_instrs` +
+/// `converged_skipped`.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ExperimentCost {
     /// Dynamic instructions skipped by a checkpoint restore, if one happened.
     pub restored_dyn: Option<u64>,
+    /// Dynamic instructions executed under the [`InjectorHook`].
+    pub hooked_instrs: u64,
+    /// Dynamic instructions executed on the no-op loop after the injector
+    /// let go.
+    pub hook_free_instrs: u64,
+    /// Dynamic instructions of the golden run left when the tail's state
+    /// matched a golden checkpoint and the run finished as golden, if it did.
+    pub converged_skipped: Option<u64>,
     /// Copy-on-write chunk traffic of the run.
     pub cow: mbfi_vm::CowStats,
 }
@@ -160,6 +172,11 @@ impl Experiment {
     /// code, which is also what makes the byte-invariance contract easy to
     /// trust.  See [`Experiment::run_compiled_with`] for the observing
     /// wrapper.
+    ///
+    /// The run executes on the injector-hooked loop only until the last
+    /// flip has landed, then on the `NoopHook` loop; with a store, it also
+    /// stops early when the tail reconverges to the golden run (see the
+    /// `replay` module docs).
     pub fn run_compiled(
         code: &CompiledModule,
         golden: &GoldenRun,
@@ -170,10 +187,11 @@ impl Experiment {
     }
 
     /// The shared non-generic execution body: the result plus the run's cost
-    /// accounting (checkpoint restore, copy-on-write chunk traffic).  Costs
-    /// are deliberately *not* part of [`ExperimentResult`] — results must
-    /// stay byte-identical whether replay or CoW is on, and the cost side
-    /// obviously differs between the paths.
+    /// accounting (checkpoint restore, where the tail ran, copy-on-write
+    /// chunk traffic).  Costs are deliberately *not* part of
+    /// [`ExperimentResult`] — results must stay byte-identical whether
+    /// replay or CoW is on, and the cost side obviously differs between the
+    /// paths.
     pub(crate) fn run_compiled_inner(
         code: &CompiledModule,
         golden: &GoldenRun,
@@ -199,16 +217,74 @@ impl Experiment {
             }
             None => Vm::new(code, limits),
         };
-        let result = vm.run_to_end(&mut hook);
+        let start = vm.dyn_count();
+        // The injector-hooked loop runs until the run ends or, at the first
+        // control transfer after the last flip, the injector lets go.
+        let result = match vm.run_until(&mut hook, u64::MAX) {
+            Some(result) => {
+                cost.hooked_instrs = result.dynamic_instrs - start;
+                result
+            }
+            None => {
+                cost.hooked_instrs = vm.dyn_count() - start;
+                Self::run_tail(&mut vm, golden, store, &limits, &mut cost)
+            }
+        };
         cost.cow = vm.cow_stats();
         (Self::finish(golden, spec, result, hook), cost)
+    }
+
+    /// Finish a run whose injector has let go, on the [`NoopHook`] loop.
+    ///
+    /// With a store, the tail pauses at each later checkpoint and compares
+    /// the VM with the golden state frozen there.  On a match the run must
+    /// end exactly as the golden run did (execution is deterministic, and
+    /// [`CheckpointStore::converges_under`] rules out a limit the golden
+    /// continuation would hit here but not there), so it stops and reports
+    /// the golden completion, instruction count and output.
+    fn run_tail(
+        vm: &mut Vm<'_>,
+        golden: &GoldenRun,
+        store: Option<&CheckpointStore>,
+        limits: &Limits,
+        cost: &mut ExperimentCost,
+    ) -> RunResult {
+        let from = vm.dyn_count();
+        let checkpoints = match store {
+            Some(s) if s.converges_under(golden, limits) => s.checkpoints_from(from),
+            _ => &[],
+        };
+        for cp in checkpoints {
+            if let Some(result) = vm.run_until(&mut NoopHook, cp.dyn_index) {
+                cost.hook_free_instrs = result.dynamic_instrs - from;
+                return result;
+            }
+            if vm.matches_snapshot(cp.snapshot()) {
+                cost.hook_free_instrs = cp.dyn_index - from;
+                cost.converged_skipped = Some(golden.dynamic_instrs - cp.dyn_index);
+                return RunResult {
+                    // The entry function's return value is not part of an
+                    // experiment result; only completion, count and output are.
+                    outcome: RunOutcome::Completed { ret: None },
+                    dynamic_instrs: golden.dynamic_instrs,
+                    output: golden.output.clone(),
+                };
+            }
+        }
+        let result = vm.run_to_end(&mut NoopHook);
+        cost.hook_free_instrs = result.dynamic_instrs - from;
+        result
     }
 
     /// [`Experiment::run_compiled`] with a telemetry sink: when the
     /// experiment fast-forwards from a checkpoint, the restore and the
     /// dynamic instructions it skipped are published as
-    /// [`Metric::CheckpointRestores`] / [`Metric::ReplayInstrsSkipped`], and
-    /// the run's copy-on-write traffic as [`Metric::CowChunksCopied`] /
+    /// [`Metric::CheckpointRestores`] / [`Metric::ReplayInstrsSkipped`]; the
+    /// instructions run under the injector and after it let go as
+    /// [`Metric::HookedInstrs`] / [`Metric::HookFreeInstrs`]; a convergence
+    /// exit as [`Metric::ConvergedExperiments`] /
+    /// [`Metric::ConvergedInstrsSkipped`]; and the run's copy-on-write
+    /// traffic as [`Metric::CowChunksCopied`] /
     /// [`Metric::CowRestoreBytesSaved`].  Telemetry never influences the
     /// result (the sink only observes), the execution body stays the one
     /// non-generic [`Experiment::run_compiled_inner`] so it is off the
@@ -226,6 +302,16 @@ impl Experiment {
             if let Some(skipped) = cost.restored_dyn {
                 telemetry.add(Metric::CheckpointRestores, 1);
                 telemetry.add(Metric::ReplayInstrsSkipped, skipped);
+            }
+            if cost.hooked_instrs > 0 {
+                telemetry.add(Metric::HookedInstrs, cost.hooked_instrs);
+            }
+            if cost.hook_free_instrs > 0 {
+                telemetry.add(Metric::HookFreeInstrs, cost.hook_free_instrs);
+            }
+            if let Some(skipped) = cost.converged_skipped {
+                telemetry.add(Metric::ConvergedExperiments, 1);
+                telemetry.add(Metric::ConvergedInstrsSkipped, skipped);
             }
             if cost.cow.cow_chunks_copied > 0 {
                 telemetry.add(Metric::CowChunksCopied, cost.cow.cow_chunks_copied);

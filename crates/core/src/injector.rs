@@ -301,6 +301,19 @@ impl ExecHook for InjectorHook {
             _ => value,
         }
     }
+
+    /// True once some flip has landed, none is armed, and no window is open
+    /// for another: `next_dyn_threshold` is cleared exactly when the last
+    /// flip has been applied (all `max_mbf` of them, or fewer when a narrow
+    /// register such as an `i1` capped a same-register burst).  From then on
+    /// `on_instr` only advances the candidate counter and the RNG is never
+    /// drawn again, so nothing the hook would still see can change the run
+    /// or its [`InjectionRecord`]s.  An injector whose target is never
+    /// reached is never exhausted.
+    #[inline]
+    fn exhausted(&self) -> bool {
+        self.pending.is_none() && !self.injections.is_empty() && self.next_dyn_threshold.is_none()
+    }
 }
 
 #[cfg(test)]
@@ -395,12 +408,15 @@ mod tests {
         let m = mb.finish();
         // Write candidates: alloca(0), load(1), icmp(2), select(3).
         let mut hook = InjectorHook::new(Technique::InjectOnWrite, 30, 0, 2, 5);
+        assert!(!hook.exhausted(), "nothing has landed yet");
         let _ = run_with(&m, &mut hook);
         assert_eq!(
             hook.activated(),
             1,
             "an i1 register can absorb only one flip"
         );
+        // The other 29 can never land, so the injector lets go anyway.
+        assert!(hook.exhausted());
     }
 
     #[test]
@@ -475,6 +491,9 @@ mod tests {
             let mut hook = InjectorHook::new(Technique::InjectOnRead, 3, 1, seed, seed * 7 + 1);
             let _ = run_with(&m, &mut hook);
             assert!(hook.activated() <= 3);
+            // The run drops the hook once it reports exhausted, so an early
+            // report would leave fewer than three flips behind it.
+            assert_eq!(hook.exhausted(), hook.activated() == 3, "seed {seed}");
             if hook.activated() == 3 {
                 saw_full = true;
             }
@@ -488,6 +507,10 @@ mod tests {
         let mut hook = InjectorHook::new(Technique::InjectOnWrite, 1, 0, 10_000, 1);
         let result = run_with(&m, &mut hook);
         assert_eq!(hook.activated(), 0);
+        assert!(
+            !hook.exhausted(),
+            "an injector that never fired keeps its hook"
+        );
         let golden = Vm::run_golden(&m, Limits::default());
         assert_eq!(result.output, golden.output);
     }

@@ -30,6 +30,27 @@
 //! classification compares the same bytes.  The contract is enforced by the
 //! `replay_equivalence` integration suite and by `replay_bench --check`.
 //!
+//! Two rules cut the *tail* of an experiment, and the contract covers both:
+//!
+//! * **Hand-off.**  At the first control transfer after the injector is
+//!   exhausted (a flip has landed, none is armed, no window is open), the
+//!   run continues on the no-op hook loop.  An exhausted injector never
+//!   draws its RNG or changes a value again, so dropping it cannot change
+//!   the run or its records.
+//! * **Convergence.**  With a store, the hook-free tail pauses at each later
+//!   checkpoint and, if the VM state equals the golden snapshot there
+//!   ([`mbfi_vm::Vm::matches_snapshot`]), finishes as the golden run did:
+//!   completed, with the golden instruction count and output.  The state
+//!   compared is everything the rest of the run can observe: the dynamic
+//!   counter, the frames (program counters, predecessor blocks, registers,
+//!   stack marks, return slots), the output so far, and memory up to the
+//!   heap and stack tops.  Stack bytes above the top are not compared: a
+//!   popped frame may leave them stale, but they are unmapped until a push
+//!   zeroes them again, so no run can read them.  The interpreter is
+//!   deterministic, so from equal states the faulty run does what the
+//!   golden run did, provided no limit stops it where the golden run went
+//!   on; [`CheckpointStore::converges_under`] guarantees that.
+//!
 //! ## Memory budget
 //!
 //! Snapshots are chunk-table clones sharing 4 KiB copy-on-write chunks (see
@@ -172,6 +193,8 @@ impl std::error::Error for ReplayCaptureError {}
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     interval: u64,
+    /// Limits of the capture run, which reproduced the golden run.
+    limits: Limits,
     checkpoints: Vec<Checkpoint>,
     stored_bytes: usize,
     truncated: bool,
@@ -228,6 +251,7 @@ impl CheckpointStore {
         let mut hook = CountingHook::new();
         let mut store = CheckpointStore {
             interval: config.interval,
+            limits,
             checkpoints: Vec::new(),
             stored_bytes: 0,
             truncated: false,
@@ -246,12 +270,11 @@ impl CheckpointStore {
                         let bytes = snapshot.unique_bytes(&mut staged);
                         if store.stored_bytes + bytes <= config.max_bytes {
                             seen = staged;
-                            let profile = hook.profile();
                             store.stored_bytes += bytes;
                             store.checkpoints.push(Checkpoint {
                                 dyn_index: snapshot.dyn_count(),
-                                read_candidates: profile.read_candidates,
-                                write_candidates: profile.write_candidates,
+                                read_candidates: hook.read_candidates(),
+                                write_candidates: hook.write_candidates(),
                                 snapshot,
                             });
                         } else {
@@ -300,6 +323,27 @@ impl CheckpointStore {
             .checkpoints
             .partition_point(|c| c.candidates_for(technique) <= first_target);
         idx.checked_sub(1).map(|i| &self.checkpoints[i])
+    }
+
+    /// The checkpoints at or after dynamic instruction `dyn_index`,
+    /// shallowest first.
+    pub fn checkpoints_from(&self, dyn_index: u64) -> &[Checkpoint] {
+        let idx = self
+            .checkpoints
+            .partition_point(|c| c.dyn_index < dyn_index);
+        &self.checkpoints[idx..]
+    }
+
+    /// Whether a run under `limits` that matches one of these checkpoints
+    /// exactly (see [`mbfi_vm::Vm::matches_snapshot`]) must finish as
+    /// `golden` did.  From a checkpoint, the capture run went on to
+    /// reproduce `golden` without hitting the capture limits; the same
+    /// continuation hits none of `limits` when they are no tighter on call
+    /// depth and output, and leave room for the whole golden run.
+    pub fn converges_under(&self, golden: &GoldenRun, limits: &Limits) -> bool {
+        limits.max_dynamic_instrs > golden.dynamic_instrs
+            && limits.max_call_depth >= self.limits.max_call_depth
+            && limits.max_output_bytes >= self.limits.max_output_bytes
     }
 
     /// Checkpoint interval this store was captured with.

@@ -52,7 +52,7 @@ use crate::outcome::OutcomeCounts;
 use crate::replay::CheckpointStore;
 use mbfi_ir::CompiledModule;
 
-use super::plan::{run_span, Plan};
+use super::plan::{run_span, Plan, PlanError};
 use super::{SweepCampaign, SweepCampaignResult, SweepConfig, SweepReport, SweepUnit};
 
 /// Owned per-workload artifacts for engine jobs: the [`SweepUnit`] fields
@@ -210,6 +210,14 @@ pub enum SubmitError {
     ShuttingDown,
     /// The [`JobSpec::client`] is not registered (or already unregistered).
     UnknownClient,
+    /// A campaign's experiment budget exceeds `u32::MAX` (see
+    /// [`PlanError`]).
+    TooManyExperiments {
+        /// Submission index of the offending campaign.
+        campaign: usize,
+        /// Its requested budget.
+        experiments: usize,
+    },
     /// A campaign references a unit index beyond [`JobSpec::units`].
     BadUnit {
         /// Submission index of the offending campaign.
@@ -227,6 +235,16 @@ impl std::fmt::Display for SubmitError {
             SubmitError::Full => f.write_str("engine admission queue is full"),
             SubmitError::ShuttingDown => f.write_str("engine is shutting down"),
             SubmitError::UnknownClient => f.write_str("client is not registered"),
+            SubmitError::TooManyExperiments {
+                campaign,
+                experiments,
+            } => write!(
+                f,
+                "campaign {campaign}: {}",
+                PlanError::TooManyExperiments {
+                    experiments: *experiments
+                }
+            ),
             SubmitError::BadUnit {
                 campaign,
                 unit,
@@ -469,7 +487,8 @@ impl SweepEngine {
         let plans: Vec<Plan> = spec
             .campaigns
             .iter()
-            .map(|c| {
+            .enumerate()
+            .map(|(i, c)| {
                 Plan::new(
                     c,
                     &spec.units[c.unit].view(),
@@ -477,8 +496,14 @@ impl SweepEngine {
                     auto_batch,
                     spec.config.precision,
                 )
+                .map_err(|PlanError::TooManyExperiments { experiments }| {
+                    SubmitError::TooManyExperiments {
+                        campaign: i,
+                        experiments,
+                    }
+                })
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         // Deduplicated in submission order, like `SweepReport::warnings`.
         // The engine does not print them — they are data for the caller.
         let mut warnings: Vec<CampaignWarning> = Vec::new();
@@ -1035,6 +1060,32 @@ mod tests {
                 campaign: 0,
                 unit: 3,
                 units: 1
+            }
+        );
+        let experiments = u32::MAX as usize + 1;
+        let huge = engine.try_submit(JobSpec {
+            client,
+            units: vec![unit(48, true)],
+            campaigns: vec![
+                SweepCampaign {
+                    unit: 0,
+                    spec: CampaignSpec::default(),
+                },
+                SweepCampaign {
+                    unit: 0,
+                    spec: CampaignSpec {
+                        experiments,
+                        ..CampaignSpec::default()
+                    },
+                },
+            ],
+            config: SweepConfig::default(),
+        });
+        assert_eq!(
+            huge.unwrap_err(),
+            SubmitError::TooManyExperiments {
+                campaign: 1,
+                experiments
             }
         );
     }

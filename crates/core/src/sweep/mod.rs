@@ -83,6 +83,7 @@ pub use engine::{
     ClientId, EngineConfig, EngineUnit, JobEvent, JobHandle, JobId, JobSpec, SubmitError,
     SweepEngine,
 };
+pub use plan::PlanError;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
@@ -350,6 +351,7 @@ impl Sweep {
                     auto_batch,
                     config.precision,
                 )
+                .unwrap_or_else(|e| panic!("sweep campaign cannot be planned: {e}"))
             })
             .collect();
 

@@ -63,6 +63,30 @@ pub(crate) struct Plan {
     pub(crate) slots: Vec<Mutex<Option<BatchOut>>>,
 }
 
+/// Why a campaign could not be planned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanError {
+    /// The experiment budget does not fit the `u32` experiment indices.
+    TooManyExperiments {
+        /// The requested budget.
+        experiments: usize,
+    },
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanError::TooManyExperiments { experiments } => write!(
+                f,
+                "a campaign of {experiments} experiments exceeds the limit of {} per cell",
+                u32::MAX
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
 /// The partial result of one batch.
 pub(crate) struct BatchOut {
     pub(crate) counts: OutcomeCounts,
@@ -78,17 +102,26 @@ impl Plan {
         batch_size: usize,
         auto_batch: usize,
         precision: Option<Precision>,
-    ) -> Plan {
+    ) -> Result<Plan, PlanError> {
         let (mut spec, mut warnings) = campaign.spec.validate();
         let precision = precision.map(|p| p.normalized());
         // Round boundaries in experiments.  Fixed-n: one round = the whole
         // budget.  Adaptive: the budget is `max_experiments` and the spec's
-        // own experiment count is ignored.
+        // own experiment count is ignored.  Experiment indices are stored as
+        // `u32`, so a budget past `u32::MAX` is refused here, before anything
+        // is sized by it.
         let round_ends: Vec<usize> = match &precision {
             Some(p) => p.round_ends(),
             None => vec![spec.experiments],
         };
         let budget = *round_ends.last().expect("round_ends is never empty");
+        let round_ends: Vec<u32> = round_ends
+            .iter()
+            .map(|&end| u32::try_from(end))
+            .collect::<Result<_, _>>()
+            .map_err(|_| PlanError::TooManyExperiments {
+                experiments: budget,
+            })?;
         spec.experiments = budget;
         // A budget beyond the single bit-flip error space means sampling with
         // replacement cannot help further — possible for tiny inputs under an
@@ -125,25 +158,27 @@ impl Plan {
                 .into_iter()
                 .map(|s| s.first_target)
                 .collect();
-            let mut order: Vec<u32> = (0..budget as u32).collect();
+            let mut order: Vec<u32> = (0..round_ends[round_ends.len() - 1]).collect();
             let mut start = 0usize;
             for &end in &round_ends {
-                order[start..end].sort_by_key(|&i| keyed[i as usize]);
-                start = end;
+                order[start..end as usize].sort_by_key(|&i| keyed[i as usize]);
+                start = end as usize;
             }
             order
         });
         // Cut each round into batches; a batch never straddles a round
         // boundary, so the released prefix is always a whole number of
-        // rounds' worth of experiments.
+        // rounds' worth of experiments.  A batch wider than `u32::MAX` is
+        // one batch per round either way.
+        let batch = u32::try_from(batch).unwrap_or(u32::MAX);
         let mut spans: Vec<(u32, u32)> = Vec::new();
         let mut round_batch_ends = Vec::with_capacity(round_ends.len());
-        let mut start = 0usize;
+        let mut start = 0u32;
         for &end in &round_ends {
             let mut s = start;
             while s < end {
-                let e = (s + batch).min(end);
-                spans.push((s as u32, e as u32));
+                let e = s.saturating_add(batch).min(end);
+                spans.push((s, e));
                 s = e;
             }
             round_batch_ends.push(spans.len());
@@ -152,7 +187,7 @@ impl Plan {
         let batches = spans.len();
         let mut slots = Vec::with_capacity(batches);
         slots.resize_with(batches, || Mutex::new(None));
-        Plan {
+        Ok(Plan {
             unit: campaign.unit,
             spec,
             warnings,
@@ -165,7 +200,7 @@ impl Plan {
             cursor: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             slots,
-        }
+        })
     }
 
     pub(crate) fn batches(&self) -> usize {
@@ -377,5 +412,67 @@ fn record_result(
     }
     if keep_records {
         out.records.push((orig, result.injections));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault_model::FaultModel;
+    use crate::golden::GoldenRun;
+    use crate::replay::{CheckpointConfig, CheckpointStore};
+    use crate::technique::Technique;
+    use mbfi_ir::{CompiledModule, ModuleBuilder, Type};
+
+    /// A budget one past `u32::MAX` used to wrap to zero experiments; it is
+    /// refused before anything is sized by it (with a store, the depth sort
+    /// would otherwise sample every spec first).
+    #[test]
+    fn budget_beyond_u32_is_an_error() {
+        let mut mb = ModuleBuilder::new("p");
+        let main = mb.declare("main", &[], None);
+        {
+            let mut f = mb.define(main);
+            let x = f.add(Type::I64, 40i64, 2i64);
+            f.print_i64(x);
+            f.ret_void();
+        }
+        mb.set_entry(main);
+        let code = CompiledModule::lower(&mb.finish());
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let store =
+            CheckpointStore::capture_compiled(&code, &golden, CheckpointConfig::with_interval(1))
+                .unwrap();
+        let unit = SweepUnit {
+            code: &code,
+            golden: &golden,
+            store: Some(&store),
+        };
+        let experiments = u32::MAX as usize + 1;
+        let campaign = SweepCampaign {
+            unit: 0,
+            spec: CampaignSpec {
+                technique: Technique::InjectOnWrite,
+                model: FaultModel::single_bit(),
+                experiments,
+                seed: 1,
+                hang_factor: 10,
+                threads: 1,
+            },
+        };
+        let err = Plan::new(&campaign, &unit, 0, 64, None).err();
+        assert_eq!(err, Some(PlanError::TooManyExperiments { experiments }));
+        // A budget that fits still plans.
+        let small = SweepCampaign {
+            spec: CampaignSpec {
+                experiments: 3,
+                ..campaign.spec
+            },
+            ..campaign
+        };
+        assert_eq!(
+            Plan::new(&small, &unit, 0, 64, None).unwrap().spans,
+            vec![(0, 3)]
+        );
     }
 }

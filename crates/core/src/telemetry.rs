@@ -134,11 +134,24 @@ pub enum Metric {
     /// Bytes a deep-copy restore would have moved that copy-on-write
     /// restores did not (zero when `MBFI_COW=off`).
     CowRestoreBytesSaved = 18,
+    /// Dynamic instructions experiments executed under the injector hook
+    /// (the tail up to the last flip, or to the end when it never lands).
+    /// Per-experiment, populated at [`TelemetryLevel::Full`] only.
+    HookedInstrs = 19,
+    /// Dynamic instructions experiments executed on the no-op loop after
+    /// the injector let go.  Per-experiment, Full only.
+    HookFreeInstrs = 20,
+    /// Experiments whose fault-free tail reached a golden checkpoint's exact
+    /// state and so finished as the golden run.  Per-experiment, Full only.
+    ConvergedExperiments = 21,
+    /// Golden-run dynamic instructions those convergence exits did not
+    /// execute.  Per-experiment, Full only.
+    ConvergedInstrsSkipped = 22,
 }
 
 impl Metric {
     /// All metrics, in registry order (`m as usize` indexes this array).
-    pub const ALL: [Metric; 19] = [
+    pub const ALL: [Metric; 23] = [
         Metric::ExperimentsRun,
         Metric::BatchesRun,
         Metric::BatchesStolen,
@@ -158,6 +171,10 @@ impl Metric {
         Metric::PruneExecutedExperiments,
         Metric::CowChunksCopied,
         Metric::CowRestoreBytesSaved,
+        Metric::HookedInstrs,
+        Metric::HookFreeInstrs,
+        Metric::ConvergedExperiments,
+        Metric::ConvergedInstrsSkipped,
     ];
 
     /// Snake-case registry name (stable; used in snapshots and bench JSON).
@@ -182,6 +199,10 @@ impl Metric {
             Metric::PruneExecutedExperiments => "prune_executed_experiments",
             Metric::CowChunksCopied => "cow_chunks_copied",
             Metric::CowRestoreBytesSaved => "cow_restore_bytes_saved",
+            Metric::HookedInstrs => "hooked_instrs",
+            Metric::HookFreeInstrs => "hook_free_instrs",
+            Metric::ConvergedExperiments => "converged_experiments",
+            Metric::ConvergedInstrsSkipped => "converged_instrs_skipped",
         }
     }
 }

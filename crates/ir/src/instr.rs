@@ -808,6 +808,30 @@ impl Instr {
     }
 }
 
+impl Opcode {
+    /// Every opcode, in declaration order: `Opcode::ALL[op as usize] == op`,
+    /// so per-opcode tables can be plain arrays indexed by `op as usize`.
+    pub const ALL: [Opcode; 17] = [
+        Opcode::Binary,
+        Opcode::Icmp,
+        Opcode::Fcmp,
+        Opcode::Cast,
+        Opcode::Select,
+        Opcode::Alloca,
+        Opcode::Load,
+        Opcode::Store,
+        Opcode::Gep,
+        Opcode::Call,
+        Opcode::Intrinsic,
+        Opcode::Phi,
+        Opcode::Br,
+        Opcode::CondBr,
+        Opcode::Switch,
+        Opcode::Ret,
+        Opcode::Unreachable,
+    ];
+}
+
 impl fmt::Display for Opcode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -840,6 +864,13 @@ mod tests {
 
     fn r(i: u32) -> Reg {
         Reg(i)
+    }
+
+    #[test]
+    fn opcode_table_is_indexed_by_discriminant() {
+        for (i, op) in Opcode::ALL.iter().enumerate() {
+            assert_eq!(*op as usize, i, "{op}");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Every dynamic instruction is announced through [`ExecHook::on_instr`];
 //! every *register* operand read is routed through [`ExecHook::on_read`] and
-//! every destination-register write through [`ExecHook::on_write`].  The two
+//! every destination-register write through [`ExecHook::on_write`] — until
+//! the hook reports itself [exhausted](ExecHook::exhausted).  The two
 //! injection techniques of the paper map directly onto these callbacks:
 //!
 //! * **inject-on-read** corrupts the value returned from `on_read`,
@@ -59,6 +60,19 @@ pub trait ExecHook {
     /// what is actually stored in the register.
     fn on_write(&mut self, _ctx: &InstrContext, _reg: Reg, value: Value) -> Value {
         value
+    }
+
+    /// Whether the hook is done with this run: it will never change another
+    /// value, and nothing it would still observe matters to its owner.
+    ///
+    /// [`crate::Vm::run_until`] asks only at control transfers (jumps, calls
+    /// and returns) and pauses there once this is true, so the caller can
+    /// finish the run on the [`NoopHook`] loop; [`crate::Vm::run_to_end`]
+    /// does that itself.  The default never lets go, and being a constant
+    /// `false` it compiles the check out of every hook that keeps it.
+    #[inline]
+    fn exhausted(&self) -> bool {
+        false
     }
 }
 

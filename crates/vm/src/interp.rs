@@ -22,7 +22,7 @@
 //! survives as [`crate::WalkerVm`], kept for differential testing and as the
 //! baseline the `exec_bench` binary measures against.
 
-use crate::hooks::{ExecHook, InstrContext};
+use crate::hooks::{ExecHook, InstrContext, NoopHook};
 use crate::limits::Limits;
 use crate::memory::{Memory, MemoryLayout};
 use crate::ops;
@@ -69,7 +69,7 @@ pub struct RunResult {
 /// Where the tree walker tracked a `(func, block, instr)` triple, a compiled
 /// frame holds the flat `pc` plus the function index (for the register
 /// table) and the predecessor block (for phi resolution).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Frame {
     /// Index of the executing function (register-table / layout lookup).
     func: u32,
@@ -216,10 +216,16 @@ impl<'c> Vm<'c> {
     }
 
     /// [`Vm::run`] without consuming the VM, so post-run state (e.g.
-    /// [`Vm::cow_stats`]) stays readable.
+    /// [`Vm::cow_stats`]) stays readable.  Once `hook` reports itself
+    /// [exhausted](ExecHook::exhausted), the rest of the run executes on the
+    /// [`NoopHook`] loop.
     pub fn run_to_end<H: ExecHook + ?Sized>(&mut self, hook: &mut H) -> RunResult {
-        self.run_until(hook, u64::MAX)
-            .expect("a run can never pause at the u64::MAX boundary")
+        match self.run_until(hook, u64::MAX) {
+            Some(result) => result,
+            None => self
+                .run_until(&mut NoopHook, u64::MAX)
+                .expect("a run can never pause at the u64::MAX boundary"),
+        }
     }
 
     /// Execute until the run ends or the dynamic-instruction counter reaches
@@ -231,6 +237,10 @@ impl<'c> Vm<'c> {
     /// with `dyn_index == stop_at` has not.  A paused VM can be resumed by
     /// calling `run_until` (or [`Vm::run`]) again, and its state can be
     /// captured with [`Vm::snapshot`].
+    ///
+    /// Execution also pauses (returning `None` before `stop_at`) right after
+    /// the first control transfer at which `hook` reports itself
+    /// [exhausted](ExecHook::exhausted); [`Vm::dyn_count`] tells where.
     ///
     /// # Panics
     ///
@@ -303,6 +313,7 @@ impl<'c> Vm<'c> {
             match step {
                 Step::Next => {
                     stack.last_mut().unwrap().pc += 1;
+                    continue;
                 }
                 Step::Jump(target) => {
                     let frame = stack.last_mut().unwrap();
@@ -328,6 +339,11 @@ impl<'c> Vm<'c> {
                         }
                     }
                 }
+            }
+            // Control transfers only: straight-line code never asks, and for
+            // hooks that keep the default this is a constant `false`.
+            if hook.exhausted() {
+                return None;
             }
         }
     }
@@ -389,6 +405,27 @@ impl<'c> Vm<'c> {
             stack: snapshot.frames.clone(),
             done: false,
         }
+    }
+
+    /// Dynamic instructions executed so far: the `dyn_index` of the next
+    /// instruction to run.
+    pub fn dyn_count(&self) -> u64 {
+        self.dyn_count
+    }
+
+    /// Whether this VM's state equals the one frozen in `snapshot` (taken on
+    /// the same compiled module), in everything the rest of a run can
+    /// observe: the dynamic-instruction counter, the frame stack (program
+    /// counters and register files), the output so far, and the memory
+    /// image compared logically (see [`Memory::logically_eq`]).
+    ///
+    /// Execution is deterministic, so two runs of one module under the same
+    /// limits that match here behave identically from here on.
+    pub fn matches_snapshot(&self, snapshot: &VmSnapshot) -> bool {
+        self.dyn_count == snapshot.dyn_count
+            && self.stack == snapshot.frames
+            && self.output == snapshot.output
+            && self.mem.logically_eq(&snapshot.mem)
     }
 
     /// Copy-on-write cost counters accumulated by this VM's memory.

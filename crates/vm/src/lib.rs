@@ -12,7 +12,8 @@
 //! * and — most importantly — the [`ExecHook`] trait: every register read
 //!   and every register write of every dynamic instruction is routed through
 //!   the hook, which is exactly the surface the inject-on-read and
-//!   inject-on-write techniques of LLFI corrupt.
+//!   inject-on-write techniques of LLFI corrupt (until the hook reports
+//!   itself exhausted; the rest of the run then skips it).
 //!
 //! Execution is two-tier:
 //!

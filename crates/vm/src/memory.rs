@@ -318,6 +318,26 @@ impl Segment {
         self.len = other.len;
     }
 
+    /// Same mapped length and same bytes in `[0, len)`.  A chunk both sides
+    /// share is equal without a look; bytes past `len` are never compared.
+    fn logically_eq(&self, other: &Segment) -> bool {
+        if self.len != other.len {
+            return false;
+        }
+        let mut rest = self.len;
+        for (mine, theirs) in self.chunks.iter().zip(&other.chunks) {
+            if rest == 0 {
+                break;
+            }
+            let n = rest.min(CHUNK_BYTES);
+            if !Arc::ptr_eq(mine, theirs) && mine[..n] != theirs[..n] {
+                return false;
+            }
+            rest -= n;
+        }
+        true
+    }
+
     /// Bytes of chunk storage not yet seen in `seen` (unique footprint).
     fn unique_bytes(&self, seen: &mut ChunkSet) -> usize {
         let mut bytes = self.chunks.len() * std::mem::size_of::<Arc<Chunk>>();
@@ -434,6 +454,24 @@ impl Memory {
     /// Current stack top (bytes from stack base).
     pub fn stack_top(&self) -> u64 {
         self.stack_top
+    }
+
+    /// Whether `self` and `other` (images of the same module) are the same
+    /// memory to any program that runs on from them: equal heap and stack
+    /// tops, and equal bytes in each segment's mapped range.
+    ///
+    /// Chunks past the tops are not compared.  Heap bytes there are zero by
+    /// the bump allocator's invariant; stack bytes there may be stale from a
+    /// popped frame, but they are unmapped (any access segfaults) and
+    /// [`Memory::stack_push`] zeroes them again before they can be read, so
+    /// no run can tell them apart.  Shared chunks compare by pointer; only
+    /// chunks that differ in identity are compared byte by byte.
+    pub fn logically_eq(&self, other: &Memory) -> bool {
+        self.heap_top == other.heap_top
+            && self.stack_top == other.stack_top
+            && self.globals.logically_eq(&other.globals)
+            && self.heap.logically_eq(&other.heap)
+            && self.stack.logically_eq(&other.stack)
     }
 
     /// A trimmed, stats-free clone for freezing into a snapshot: chunk tables
@@ -922,6 +960,43 @@ mod tests {
         // The fork shares every chunk: only its table overhead is new.
         let second = fork.unique_bytes(&mut seen);
         assert!(second < CHUNK_BYTES);
+    }
+
+    #[test]
+    fn logical_equality_ignores_stale_stack_bytes_only() {
+        let mut a = empty_memory();
+        let heap = a.heap_alloc(64).unwrap();
+        a.store(Type::I64, heap, 7).unwrap();
+        let mark = a.stack_mark();
+        let frame = a.stack_push(32).unwrap();
+        a.store(Type::I64, frame, 0xdead_beef).unwrap();
+        a.stack_pop_to(mark);
+        // `b` never pushed the frame: same tops, same mapped bytes, but `a`
+        // still holds the popped frame's bytes above its stack top.
+        let mut b = empty_memory();
+        let heap_b = b.heap_alloc(64).unwrap();
+        b.store(Type::I64, heap_b, 7).unwrap();
+        assert!(a.logically_eq(&b) && b.logically_eq(&a));
+        assert!(
+            a.logically_eq(&a.clone()),
+            "shared chunks compare by pointer"
+        );
+        // ... and they cannot be told apart once the stack regrows.
+        let (fa, fb) = (a.stack_push(32).unwrap(), b.stack_push(32).unwrap());
+        assert_eq!(a.load(Type::I64, fa), b.load(Type::I64, fb));
+        assert!(a.logically_eq(&b));
+
+        // One changed mapped byte, in the heap or on the stack, is a difference.
+        let mut c = b.clone();
+        c.store(Type::I8, heap_b + 63, 1).unwrap();
+        assert!(!c.logically_eq(&b));
+        let mut d = b.clone();
+        d.store(Type::I8, fb + 31, 1).unwrap();
+        assert!(!d.logically_eq(&b));
+        // So is a different top, even over equal bytes.
+        let mut e = b.clone();
+        e.heap_alloc(8).unwrap();
+        assert!(!e.logically_eq(&b));
     }
 
     #[test]

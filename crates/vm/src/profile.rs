@@ -86,9 +86,15 @@ impl AddAssign<&ExecutionProfile> for ExecutionProfile {
 }
 
 /// Hook that builds an [`ExecutionProfile`] without perturbing execution.
+///
+/// Every golden and checkpoint capture runs through this hook, so
+/// [`ExecHook::on_instr`] does no allocation and no map probe: it bumps one
+/// slot of a fixed per-opcode table indexed by `Opcode as usize`.  Totals are
+/// sums over the table, and the name-keyed map of [`ExecutionProfile`] is
+/// built once, in [`CountingHook::into_profile`].
 #[derive(Debug, Default, Clone)]
 pub struct CountingHook {
-    profile: ExecutionProfile,
+    per_opcode: [OpcodeProfile; Opcode::ALL.len()],
 }
 
 impl CountingHook {
@@ -99,30 +105,42 @@ impl CountingHook {
 
     /// Consume the hook and return the collected profile.
     pub fn into_profile(self) -> ExecutionProfile {
-        self.profile
+        self.profile()
     }
 
-    /// Borrow the profile collected so far.
-    pub fn profile(&self) -> &ExecutionProfile {
-        &self.profile
+    /// The profile collected so far (builds the per-opcode map; use the
+    /// total accessors on hot paths).
+    pub fn profile(&self) -> ExecutionProfile {
+        let mut profile = ExecutionProfile::default();
+        for (opcode, stats) in Opcode::ALL.iter().zip(&self.per_opcode) {
+            if stats.count > 0 {
+                profile.dynamic_instrs += stats.count;
+                profile.read_candidates += stats.read_candidates;
+                profile.write_candidates += stats.write_candidates;
+                profile.per_opcode.insert(opcode.to_string(), *stats);
+            }
+        }
+        profile
+    }
+
+    /// Inject-on-read candidates counted so far.
+    pub fn read_candidates(&self) -> u64 {
+        self.per_opcode.iter().map(|s| s.read_candidates).sum()
+    }
+
+    /// Inject-on-write candidates counted so far.
+    pub fn write_candidates(&self) -> u64 {
+        self.per_opcode.iter().map(|s| s.write_candidates).sum()
     }
 }
 
 impl ExecHook for CountingHook {
+    #[inline]
     fn on_instr(&mut self, ctx: &InstrContext) {
-        self.profile.dynamic_instrs += 1;
-        let reads = u64::from(ctx.reg_reads > 0);
-        let writes = u64::from(ctx.has_dest);
-        self.profile.read_candidates += reads;
-        self.profile.write_candidates += writes;
-        let entry = self
-            .profile
-            .per_opcode
-            .entry(ctx.opcode.to_string())
-            .or_default();
+        let entry = &mut self.per_opcode[ctx.opcode as usize];
         entry.count += 1;
-        entry.read_candidates += reads;
-        entry.write_candidates += writes;
+        entry.read_candidates += u64::from(ctx.reg_reads > 0);
+        entry.write_candidates += u64::from(ctx.has_dest);
     }
 }
 
