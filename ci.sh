@@ -2,7 +2,8 @@
 # Tier-1 verification plus lint, in one command, fully offline.
 #
 #   ./ci.sh          # build + test (workspace and perfbench) + clippy
-#   ./ci.sh bench    # additionally run the three bench harnesses (fast knobs)
+#   ./ci.sh bench    # additionally run the 3 `cargo bench` suites and the 7
+#                    # bench bins, with their --check modes (fast knobs)
 #
 # The workspace has zero external dependencies by design (see README.md), so
 # everything runs with --offline; if any step needs the network, that is a
@@ -119,24 +120,12 @@ if [[ "${1:-}" == "bench" ]]; then
     MBFI_PRECISION=5,40 MBFI_WORKLOADS=qsort,sad cargo run --release \
         --offline -q -p mbfi-bench --bin adaptive_bench -- --out-dir "$MBFI_BENCH_OUT"
 
-    # Bit-level static pruning: first the self-verifying mode (every sampled
-    # claimed-dead site across all workloads injected and required to be
-    # byte-identical to golden; pruned campaigns byte-identical to unpruned
-    # at thread counts 1, 4 and 8; independent-seed SDC/Detection within the
-    # 95% intervals), then a small timing run that writes BENCH_prune.json
-    # with the per-workload statically-pruned fractions.
-    echo "==> cargo run --release -p mbfi-bench --bin prune_bench -- --check"
-    cargo run --release --offline -q -p mbfi-bench \
-        --bin prune_bench -- --check
-    echo "==> cargo run --release -p mbfi-bench --bin prune_bench"
-    MBFI_EXPERIMENTS=20 cargo run --release --offline -q -p mbfi-bench \
-        --bin prune_bench -- --out-dir "$MBFI_BENCH_OUT"
-
-    # Copy-on-write snapshot forking: first the self-verifying mode (dirty-
-    # chunk accounting cross-checks, plus CoW campaigns byte-identical to
-    # deep-copy-restore campaigns on all 15 workloads at thread counts 1, 4
-    # and 8), then a small timing run that writes BENCH_snapshot.json with
-    # the late-injection and uniform-grid exp/s ratios.
+    # Copy-on-write snapshot forking: first the self-verifying mode (the
+    # dirty-chunk accounting of the CoW memory cross-checked against its
+    # deep-copy reference; campaign-level byte equivalence is
+    # tests/snapshot_equivalence.rs), then a small timing run that writes
+    # BENCH_snapshot.json with the uniform-grid CoW + replay vs
+    # re-execution exp/s ratio.
     echo "==> cargo run --release -p mbfi-bench --bin snapshot_bench -- --check"
     cargo run --release --offline -q -p mbfi-bench \
         --bin snapshot_bench -- --check

@@ -27,7 +27,8 @@ use mbfi_bench::timing::{env_usize, median_wall_ns};
 use mbfi_core::replay::{last_quartile_target, CheckpointConfig, CheckpointStore};
 use mbfi_core::report::Json;
 use mbfi_core::{
-    Campaign, CampaignSpec, Experiment, ExperimentSpec, FaultModel, GoldenRun, Technique, WinSize,
+    Campaign, CampaignSpec, Experiment, ExperimentSpec, FaultModel, GoldenRun, NoopSink, Technique,
+    WinSize,
 };
 use mbfi_ir::CompiledModule;
 use mbfi_workloads::{workload_by_name, InputSize};
@@ -183,7 +184,14 @@ fn main() {
             Campaign::run_compiled(&code, &golden, &uniform_spec)
         });
         let replay_uniform = median_wall_ns(samples, || {
-            Campaign::run_compiled_with_store(&code, &golden, &uniform_spec, Some(&store))
+            Campaign::run_compiled_with(
+                &code,
+                &golden,
+                &uniform_spec,
+                Some(&store),
+                None,
+                &NoopSink,
+            )
         });
 
         // Late-injection campaign, serial for stable per-experiment timing.

@@ -27,7 +27,7 @@ use mbfi_core::report::{FigureData, Series, TextTable};
 use mbfi_core::space::{ErrorSpace, REGISTER_BITS};
 use mbfi_core::{
     Campaign, CampaignResult, CampaignSpec, CampaignWarning, FaultModel, GoldenRun, IntervalMethod,
-    Metric, Outcome, Precision, Sweep, SweepCampaign, SweepConfig, SweepUnit, Technique,
+    Metric, NoopSink, Outcome, Precision, Sweep, SweepCampaign, SweepConfig, SweepUnit, Technique,
     TelemetryHub, TelemetryLevel, TelemetrySink, TelemetrySnapshot, WinSize,
 };
 use mbfi_ir::{CompiledModule, Module};
@@ -72,10 +72,6 @@ pub struct HarnessConfig {
     /// byte-reproducible at a known fixed n — runs every cell at
     /// `experiments`.
     pub precision: Option<Precision>,
-    /// Copy-on-write snapshot forking (`true` by default).  Off forces the
-    /// deep-copy restore path; results are byte-identical either way (the CoW
-    /// contract), so the knob exists for A/B benchmarking only.
-    pub cow: bool,
     /// Telemetry recording level for grid sweeps (`Off` by default; results
     /// are byte-identical at every level — telemetry only observes).
     pub telemetry: TelemetryLevel,
@@ -99,7 +95,6 @@ impl Default for HarnessConfig {
             replay_interval: None,
             replay_budget_bytes: CheckpointConfig::default().max_bytes,
             sweep_batch: 0,
-            cow: true,
             precision: None,
             telemetry: TelemetryLevel::Off,
             telemetry_out: "telemetry.jsonl".to_string(),
@@ -126,10 +121,6 @@ impl HarnessConfig {
     ///   workload in MiB (default 64)
     /// * `MBFI_SWEEP_BATCH` — experiments per stealable sweep batch
     ///   (default: auto)
-    /// * `MBFI_COW` — `off` to force the deep-copy snapshot restore path,
-    ///   `on` (the default) for copy-on-write forking.  Results are
-    ///   byte-identical either way; the knob is for A/B benchmarking.
-    ///   Applied process-wide via [`mbfi_vm::set_cow_enabled`].
     /// * `MBFI_PRECISION` — `off` (the default: fixed-n sampling with
     ///   `MBFI_EXPERIMENTS` per cell) or
     ///   `<pct>[,<min>[,<max>[,wald|wilson]]]` for adaptive
@@ -212,17 +203,6 @@ impl HarnessConfig {
         let budget_mb = env_parsed("MBFI_REPLAY_BUDGET_MB", cfg.replay_budget_bytes >> 20);
         cfg.replay_budget_bytes = budget_mb << 20;
         cfg.sweep_batch = env_parsed("MBFI_SWEEP_BATCH", cfg.sweep_batch);
-        if let Ok(v) = std::env::var("MBFI_COW") {
-            match v.to_ascii_lowercase().as_str() {
-                "on" | "1" | "true" | "yes" => cfg.cow = true,
-                "off" | "0" | "false" | "no" => cfg.cow = false,
-                _ => eprintln!(
-                    "warning: MBFI_COW={v:?} is not on/off; falling back to {}",
-                    if cfg.cow { "on" } else { "off" }
-                ),
-            }
-        }
-        mbfi_vm::set_cow_enabled(cfg.cow);
         if let Ok(v) = std::env::var("MBFI_PRECISION") {
             match parse_precision(&v) {
                 Some(p) => cfg.precision = p,
@@ -384,7 +364,14 @@ impl WorkloadData {
     /// replay-off results are byte-identical by contract, so figures and
     /// tables do not depend on the knob.
     pub fn campaign(&self, spec: &CampaignSpec) -> CampaignResult {
-        Campaign::run_compiled_with_store(&self.code, &self.golden, spec, self.store.as_ref())
+        Campaign::run_compiled_with(
+            &self.code,
+            &self.golden,
+            spec,
+            self.store.as_ref(),
+            None,
+            &NoopSink,
+        )
     }
 
     /// The borrowed artifact bundle a sweep executes this workload through.
@@ -1340,10 +1327,7 @@ mod tests {
         std::env::set_var("MBFI_PRECISION", "2.5,80,4000,wald");
         std::env::set_var("MBFI_TELEMETRY", "full");
         std::env::set_var("MBFI_TELEMETRY_OUT", "events.jsonl");
-        std::env::set_var("MBFI_COW", "off");
         let cfg = HarnessConfig::from_env();
-        assert!(!cfg.cow);
-        assert!(!mbfi_vm::cow_enabled());
         assert_eq!(cfg.experiments, 7);
         assert_eq!(cfg.telemetry, TelemetryLevel::Full);
         assert_eq!(cfg.telemetry_out, "events.jsonl");
@@ -1375,16 +1359,11 @@ mod tests {
 
         // Malformed values fall back to the defaults (with a stderr warning,
         // not capturable here) instead of being silently dropped mid-parse.
-        // MBFI_COW falling back to `on` here also restores the process-global
-        // CoW switch flipped off above.
         std::env::set_var("MBFI_HANG_FACTOR", "twenty");
         std::env::set_var("MBFI_REPLAY_BUDGET_MB", "-3");
         std::env::set_var("MBFI_PRECISION", "tight");
         std::env::set_var("MBFI_TELEMETRY", "verbose");
-        std::env::set_var("MBFI_COW", "maybe");
         let cfg = HarnessConfig::from_env();
-        assert!(cfg.cow);
-        assert!(mbfi_vm::cow_enabled());
         assert_eq!(cfg.hang_factor, HarnessConfig::default().hang_factor);
         assert_eq!(
             cfg.replay_budget_bytes,
@@ -1397,7 +1376,6 @@ mod tests {
         std::env::remove_var("MBFI_REPLAY_BUDGET_MB");
         std::env::remove_var("MBFI_PRECISION");
         std::env::remove_var("MBFI_TELEMETRY");
-        std::env::remove_var("MBFI_COW");
         assert_eq!(env_parsed("MBFI_NOT_SET_EVER", 42usize), 42);
     }
 

@@ -10,8 +10,8 @@ use crate::replay::CheckpointStore;
 use crate::stats::{wald_interval, IntervalMethod, Proportion};
 use crate::sweep::{Sweep, SweepCampaign, SweepConfig, SweepUnit};
 use crate::technique::Technique;
-use crate::telemetry::TelemetrySink;
-use mbfi_ir::{CompiledModule, Module};
+use crate::telemetry::{NoopSink, TelemetrySink};
+use mbfi_ir::CompiledModule;
 
 /// Configuration of one campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,10 +159,9 @@ impl CampaignSpec {
     }
 
     /// Validate the spec once, returning the (possibly fixed-up) spec the
-    /// campaign will actually run plus any warnings.  [`Campaign::run`] calls
-    /// this at campaign start and logs the warnings, replacing the old
-    /// behaviour of silently clamping `hang_factor` inside every single
-    /// `Experiment::run`.
+    /// campaign will actually run plus any warnings.  Every campaign calls
+    /// this at start and logs the warnings, rather than clamping
+    /// `hang_factor` silently inside every single experiment.
     pub fn validate(&self) -> (CampaignSpec, Vec<CampaignWarning>) {
         let mut spec = *self;
         let mut warnings = Vec::new();
@@ -303,130 +302,69 @@ impl CampaignResult {
 pub struct Campaign;
 
 impl Campaign {
-    /// Run `spec.experiments` experiments, spreading them over worker threads.
+    /// Run a campaign on a pre-lowered module: `spec.experiments` fixed-n
+    /// experiments, full re-execution, no telemetry.
     ///
-    /// Lowers the module once and executes every experiment through the
-    /// compiled pipeline; callers that run several campaigns on one workload
-    /// should lower once themselves and use [`Campaign::run_compiled`].
-    pub fn run(module: &Module, golden: &GoldenRun, spec: &CampaignSpec) -> CampaignResult {
-        Self::run_with_store(module, golden, spec, None)
-    }
-
-    /// Like [`Campaign::run`], with an optional golden-run [`CheckpointStore`]
-    /// shared read-only across all worker threads.
-    pub fn run_with_store(
-        module: &Module,
-        golden: &GoldenRun,
-        spec: &CampaignSpec,
-        store: Option<&CheckpointStore>,
-    ) -> CampaignResult {
-        let code = CompiledModule::lower(module);
-        Self::run_compiled_with_store(&code, golden, spec, store)
-    }
-
-    /// Run a campaign on a pre-lowered module.
+    /// Callers holding a [`mbfi_ir::Module`] lower it once at the boundary
+    /// ([`CompiledModule::lower`]) and reuse the result for every campaign on
+    /// that workload.
     pub fn run_compiled(
         code: &CompiledModule,
         golden: &GoldenRun,
         spec: &CampaignSpec,
     ) -> CampaignResult {
-        Self::run_compiled_with_store(code, golden, spec, None)
+        Self::run_compiled_with(code, golden, spec, None, None, &NoopSink)
     }
 
-    /// Run a campaign on a pre-lowered module, optionally through a
-    /// checkpoint store shared read-only across all worker threads.
+    /// [`Campaign::run_compiled`] with every option of the campaign layer.
     ///
-    /// Since the sweep refactor this is a single-cell [`Sweep`]: the
-    /// campaign's experiments are pre-sampled, cut into batches and drained
-    /// by the sweep's work-stealing worker pool (sized by `spec.threads`).
-    /// The result is byte-identical to any other schedule — see the
-    /// determinism contract in [`crate::sweep`].
-    pub fn run_compiled_with_store(
+    /// * `store` — golden-run checkpoints shared read-only across all
+    ///   worker threads; experiments skip their fault-free prefix
+    ///   (byte-transparent, see [`crate::replay`]).
+    /// * `precision` — adaptive precision-targeted sampling: keep adding
+    ///   deterministic rounds of experiments until the SDC and Detection
+    ///   interval half-widths meet the target (or the `max_experiments`
+    ///   budget runs out).  `spec.experiments` is then ignored; the realized
+    ///   count is in the result's `spec.experiments` and
+    ///   [`CampaignResult::adaptive`], and equals a fixed-n campaign of
+    ///   exactly that length.
+    /// * `telemetry` — a sink (e.g. a [`crate::telemetry::TelemetryHub`])
+    ///   observing experiment and batch counters, replay savings and per-cell
+    ///   tallies.  Telemetry is strictly an observer: the result is
+    ///   byte-identical for any sink and level.
+    ///
+    /// The campaign is a single-cell [`Sweep`]: its experiments are
+    /// pre-sampled, cut into batches and drained by the sweep's
+    /// work-stealing worker pool (sized by `spec.threads`), so the result is
+    /// byte-identical for every thread count — see the determinism contract
+    /// in [`crate::sweep`].
+    pub fn run_compiled_with<S: TelemetrySink>(
         code: &CompiledModule,
         golden: &GoldenRun,
         spec: &CampaignSpec,
         store: Option<&CheckpointStore>,
-    ) -> CampaignResult {
-        crate::sweep::run_single(code, golden, spec, store, None)
-    }
-
-    /// [`Campaign::run_compiled_with_store`] with a telemetry sink (e.g. a
-    /// [`crate::telemetry::TelemetryHub`]) observing the run: experiment and
-    /// batch counters, checkpoint-replay savings, per-cell outcome tallies
-    /// and — at [`crate::telemetry::TelemetryLevel::Full`] — the structured
-    /// event stream.  Telemetry is strictly an observer: the result is
-    /// byte-identical to the untelemetered run for any sink and level.
-    pub fn run_compiled_telemetry<S: TelemetrySink>(
-        code: &CompiledModule,
-        golden: &GoldenRun,
-        spec: &CampaignSpec,
-        store: Option<&CheckpointStore>,
+        precision: Option<Precision>,
         telemetry: &S,
     ) -> CampaignResult {
-        crate::sweep::run_single_with(code, golden, spec, store, None, telemetry)
-    }
-
-    /// Run one campaign with adaptive precision-targeted sampling: keep
-    /// adding deterministic rounds of experiments until the SDC and Detection
-    /// interval half-widths meet `precision.target_half_width_pct` (or the
-    /// `max_experiments` budget runs out).  `spec.experiments` is ignored;
-    /// the realized count is in the result's `spec.experiments` /
-    /// [`CampaignResult::adaptive`].
-    ///
-    /// Deterministic like the fixed-n path: the result is byte-identical for
-    /// every thread count, and equal to a fixed-n campaign of exactly the
-    /// realized length.
-    pub fn run_adaptive(
-        code: &CompiledModule,
-        golden: &GoldenRun,
-        spec: &CampaignSpec,
-        store: Option<&CheckpointStore>,
-        precision: &Precision,
-    ) -> CampaignResult {
-        crate::sweep::run_single(code, golden, spec, store, Some(*precision))
-    }
-
-    /// Run a fixed-n campaign with bit-level static pruning: experiments
-    /// whose sampled injection point is provably dead (see
-    /// [`crate::pruning::BitLevelPruner`]) are resolved statically instead
-    /// of executed.  The result field is byte-identical to
-    /// [`Campaign::run_compiled`] with the same spec.
-    pub fn run_compiled_pruned(
-        code: &CompiledModule,
-        golden: &GoldenRun,
-        spec: &CampaignSpec,
-    ) -> crate::pruning::PrunedCampaign {
-        crate::pruning::BitLevelPruner::analyze(code).run_campaign_pruned(code, golden, spec)
-    }
-
-    /// Run one campaign per grid point as a single [`Sweep`].  The module is
-    /// lowered once and shared by every campaign, and all points run on one
-    /// work-stealing worker pool instead of one pool per campaign.
-    pub fn run_points(
-        module: &Module,
-        golden: &GoldenRun,
-        points: &[CampaignPoint],
-        experiments: usize,
-        seed: u64,
-    ) -> Vec<CampaignResult> {
-        let code = CompiledModule::lower(module);
         let units = [SweepUnit {
-            code: &code,
+            code,
             golden,
-            store: None,
+            store,
         }];
-        let campaigns: Vec<SweepCampaign> = points
-            .iter()
-            .map(|p| SweepCampaign {
-                unit: 0,
-                spec: CampaignSpec::from_point(*p, experiments, seed),
-            })
-            .collect();
-        Sweep::run(&units, &campaigns, &SweepConfig::default())
-            .results
-            .into_iter()
-            .map(|r| r.result)
-            .collect()
+        let campaigns = [SweepCampaign {
+            unit: 0,
+            spec: *spec,
+        }];
+        let config = SweepConfig {
+            threads: spec.threads,
+            precision,
+            ..SweepConfig::default()
+        };
+        let mut out = None;
+        Sweep::run_streamed_with(&units, &campaigns, &config, telemetry, |_, result| {
+            out = Some(result.result);
+        });
+        out.expect("single-campaign sweep produced no result")
     }
 }
 
@@ -434,7 +372,7 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::fault_model::WinSize;
-    use mbfi_ir::{ModuleBuilder, Type};
+    use mbfi_ir::{Module, ModuleBuilder, Type};
 
     fn workload() -> Module {
         let mut mb = ModuleBuilder::new("w");
@@ -465,7 +403,8 @@ mod tests {
     #[test]
     fn campaign_counts_add_up() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
         let spec = CampaignSpec {
             technique: Technique::InjectOnRead,
             model: FaultModel::single_bit(),
@@ -474,7 +413,7 @@ mod tests {
             hang_factor: 10,
             threads: 2,
         };
-        let r = Campaign::run(&m, &golden, &spec);
+        let r = Campaign::run_compiled(&code, &golden, &spec);
         assert_eq!(r.total(), 200);
         let hist_total: u64 = r.activation_histogram.iter().sum();
         assert_eq!(hist_total, 200);
@@ -485,7 +424,8 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_regardless_of_thread_count() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
         let base = CampaignSpec {
             technique: Technique::InjectOnWrite,
             model: FaultModel::multi_bit(3, WinSize::Fixed(1)),
@@ -494,8 +434,8 @@ mod tests {
             hang_factor: 10,
             threads: 1,
         };
-        let r1 = Campaign::run(&m, &golden, &base);
-        let r2 = Campaign::run(&m, &golden, &CampaignSpec { threads: 4, ..base });
+        let r1 = Campaign::run_compiled(&code, &golden, &base);
+        let r2 = Campaign::run_compiled(&code, &golden, &CampaignSpec { threads: 4, ..base });
         assert_eq!(r1.counts, r2.counts);
         assert_eq!(r1.activation_histogram, r2.activation_histogram);
     }
@@ -503,7 +443,8 @@ mod tests {
     #[test]
     fn multi_bit_campaign_activates_multiple_errors() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
         let spec = CampaignSpec {
             technique: Technique::InjectOnWrite,
             model: FaultModel::multi_bit(4, WinSize::Fixed(0)),
@@ -512,7 +453,7 @@ mod tests {
             hang_factor: 10,
             threads: 2,
         };
-        let r = Campaign::run(&m, &golden, &spec);
+        let r = Campaign::run_compiled(&code, &golden, &spec);
         assert_eq!(r.activation_histogram.len(), 5);
         // With win-size = 0 the full burst is applied at one instruction, so
         // many experiments should activate all 4 flips.
@@ -523,7 +464,8 @@ mod tests {
     #[test]
     fn crash_histogram_only_counts_crashes() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
         let spec = CampaignSpec {
             technique: Technique::InjectOnRead,
             model: FaultModel::single_bit(),
@@ -532,7 +474,7 @@ mod tests {
             hang_factor: 10,
             threads: 2,
         };
-        let r = Campaign::run(&m, &golden, &spec);
+        let r = Campaign::run_compiled(&code, &golden, &spec);
         let crash_total: u64 = r.crash_activation_histogram.iter().sum();
         assert_eq!(crash_total, r.counts.hw_exception);
     }
@@ -561,9 +503,10 @@ mod tests {
         // A campaign with a too-low hang factor runs with the fixed-up value
         // and records it in the result's spec.
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
-        let r = Campaign::run(
-            &m,
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let r = Campaign::run_compiled(
+            &code,
             &golden,
             &CampaignSpec {
                 experiments: 10,
@@ -579,9 +522,10 @@ mod tests {
     #[test]
     fn replayed_campaign_is_byte_identical_to_full_execution() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
-        let store = crate::replay::CheckpointStore::capture(
-            &m,
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let store = crate::replay::CheckpointStore::capture_compiled(
+            &code,
             &golden,
             crate::replay::CheckpointConfig::with_interval(25),
         )
@@ -595,31 +539,13 @@ mod tests {
                 hang_factor: 10,
                 threads: 3,
             };
-            let full = Campaign::run(&m, &golden, &spec);
-            let replayed = Campaign::run_with_store(&m, &golden, &spec, Some(&store));
+            let full = Campaign::run_compiled(&code, &golden, &spec);
+            let replayed =
+                Campaign::run_compiled_with(&code, &golden, &spec, Some(&store), None, &NoopSink);
             assert_eq!(
                 full, replayed,
                 "{technique}: replay changed the campaign result"
             );
         }
-    }
-
-    #[test]
-    fn run_points_produces_one_result_per_point() {
-        let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
-        let points = vec![
-            CampaignPoint {
-                technique: Technique::InjectOnRead,
-                model: FaultModel::single_bit(),
-            },
-            CampaignPoint {
-                technique: Technique::InjectOnRead,
-                model: FaultModel::multi_bit(2, WinSize::Fixed(1)),
-            },
-        ];
-        let results = Campaign::run_points(&m, &golden, &points, 50, 9);
-        assert_eq!(results.len(), 2);
-        assert!(results.iter().all(|r| r.total() == 50));
     }
 }

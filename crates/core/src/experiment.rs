@@ -79,17 +79,6 @@ impl ExperimentSpec {
             })
             .collect()
     }
-
-    /// Replay the operand-index draw an inject-on-read [`InjectorHook`] with
-    /// this spec's seed will make when it arms at an instruction reading
-    /// `reg_reads` register operands.
-    ///
-    /// The injector's first RNG use is exactly this draw, so the bit-level
-    /// pruner can know *which* operand a sampled experiment would corrupt
-    /// without touching the experiment's RNG stream.
-    pub fn sampled_operand_index(&self, reg_reads: usize) -> usize {
-        SmallRng::seed_from_u64(self.seed).gen_range(0..reg_reads.max(1))
-    }
 }
 
 /// Result of one experiment.
@@ -134,35 +123,16 @@ pub(crate) struct ExperimentCost {
 pub struct Experiment;
 
 impl Experiment {
-    /// Execute one experiment: run the workload with an [`InjectorHook`]
-    /// configured from `spec` and classify the outcome against the golden run.
+    /// Execute one experiment: run the pre-lowered workload with an
+    /// [`InjectorHook`] configured from `spec` and classify the outcome
+    /// against the golden run — the hot path every campaign worker runs.
     ///
-    /// Lowers the module and executes through the compiled pipeline.  Callers
-    /// that run many experiments on the same workload (campaigns, benches)
-    /// should lower once and use [`Experiment::run_compiled`].
-    ///
-    /// `hang_factor` is taken from the spec verbatim; campaigns validate it
-    /// once up front (see [`crate::CampaignSpec::validate`]).
-    pub fn run(module: &Module, golden: &GoldenRun, spec: &ExperimentSpec) -> ExperimentResult {
-        Self::run_with_store(module, golden, spec, None)
-    }
-
-    /// Like [`Experiment::run`], but when a [`CheckpointStore`] is supplied,
-    /// restore the deepest checkpoint at or before the first injection point
-    /// and execute only the tail.  The result is byte-identical to the full
-    /// re-execution path for any spec (see the `replay` module docs for why).
-    pub fn run_with_store(
-        module: &Module,
-        golden: &GoldenRun,
-        spec: &ExperimentSpec,
-        store: Option<&CheckpointStore>,
-    ) -> ExperimentResult {
-        let code = CompiledModule::lower(module);
-        Self::run_compiled(&code, golden, spec, store)
-    }
-
-    /// Execute one experiment on a pre-lowered module — the hot path every
-    /// campaign worker runs.
+    /// When a [`CheckpointStore`] is supplied, the run restores the deepest
+    /// checkpoint at or before the first injection point and executes only
+    /// the tail; the result is byte-identical to the full re-execution path
+    /// for any spec (see the `replay` module docs for why).  `hang_factor`
+    /// is taken from the spec verbatim; campaigns validate it once up front
+    /// (see [`crate::CampaignSpec::validate`]).
     ///
     /// Deliberately **not** generic over a telemetry sink: the VM
     /// interpreter loop inlines into this function, and duplicating it per
@@ -189,8 +159,8 @@ impl Experiment {
     /// The shared non-generic execution body: the result plus the run's cost
     /// accounting (checkpoint restore, where the tail ran, copy-on-write
     /// chunk traffic).  Costs are deliberately *not* part of
-    /// [`ExperimentResult`] — results must stay byte-identical whether
-    /// replay or CoW is on, and the cost side obviously differs between the
+    /// [`ExperimentResult`] — results must stay byte-identical with or
+    /// without replay, and the cost side obviously differs between the
     /// paths.
     pub(crate) fn run_compiled_inner(
         code: &CompiledModule,
@@ -211,8 +181,8 @@ impl Experiment {
             Some(cp) => {
                 hook.resume_candidates(cp.candidates_for(spec.technique));
                 cost.restored_dyn = Some(cp.snapshot().dyn_count());
-                // Fork straight off the shared checkpoint: with CoW enabled
-                // this copies no memory at all up front.
+                // Fork straight off the shared checkpoint: copy-on-write
+                // copies no memory at all up front.
                 Vm::from_snapshot(code, limits, cp.snapshot())
             }
             None => Vm::new(code, limits),
@@ -326,8 +296,8 @@ impl Experiment {
     /// Execute one experiment on the legacy tree walker.
     ///
     /// Exists for the pipeline-equivalence suite and the `exec_bench`
-    /// baseline: for any spec the result must equal [`Experiment::run`]
-    /// field for field.  No checkpoint replay — the walker always executes
+    /// baseline: for any spec the result must equal
+    /// [`Experiment::run_compiled`] field for field.  No checkpoint replay — the walker always executes
     /// from instruction zero.
     pub fn run_legacy(
         module: &Module,
@@ -367,7 +337,7 @@ impl Experiment {
 mod tests {
     use super::*;
     use crate::fault_model::WinSize;
-    use mbfi_ir::{ModuleBuilder, Type};
+    use mbfi_ir::{Module, ModuleBuilder, Type};
 
     fn workload() -> Module {
         let mut mb = ModuleBuilder::new("w");
@@ -398,7 +368,8 @@ mod tests {
     #[test]
     fn sampled_specs_are_reproducible_and_in_range() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
         let model = FaultModel::multi_bit(3, WinSize::Random { lo: 2, hi: 10 });
         let a = ExperimentSpec::sample(Technique::InjectOnRead, model, &golden, 42, 7, 10);
         let b = ExperimentSpec::sample(Technique::InjectOnRead, model, &golden, 42, 7, 10);
@@ -412,7 +383,8 @@ mod tests {
     #[test]
     fn experiments_are_deterministic() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
         let spec = ExperimentSpec::sample(
             Technique::InjectOnWrite,
             FaultModel::single_bit(),
@@ -421,8 +393,8 @@ mod tests {
             3,
             10,
         );
-        let r1 = Experiment::run(&m, &golden, &spec);
-        let r2 = Experiment::run(&m, &golden, &spec);
+        let r1 = Experiment::run_compiled(&code, &golden, &spec, None);
+        let r2 = Experiment::run_compiled(&code, &golden, &spec, None);
         assert_eq!(r1, r2);
         assert!(r1.activated <= 1);
     }
@@ -430,7 +402,8 @@ mod tests {
     #[test]
     fn single_bit_experiments_cover_multiple_outcomes() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
         let mut seen = std::collections::BTreeSet::new();
         for i in 0..300 {
             let spec = ExperimentSpec::sample(
@@ -441,7 +414,7 @@ mod tests {
                 i,
                 10,
             );
-            let r = Experiment::run(&m, &golden, &spec);
+            let r = Experiment::run_compiled(&code, &golden, &spec, None);
             seen.insert(r.outcome);
             assert!(r.activated <= 1);
             assert!(r.injections.len() == r.activated as usize);
@@ -458,11 +431,12 @@ mod tests {
     #[test]
     fn multi_bit_activations_never_exceed_max_mbf() {
         let m = workload();
-        let golden = GoldenRun::capture(&m).unwrap();
+        let code = CompiledModule::lower(&m);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
         let model = FaultModel::multi_bit(5, WinSize::Fixed(4));
         for i in 0..100 {
             let spec = ExperimentSpec::sample(Technique::InjectOnWrite, model, &golden, 99, i, 10);
-            let r = Experiment::run(&m, &golden, &spec);
+            let r = Experiment::run_compiled(&code, &golden, &spec, None);
             assert!(r.activated <= 5);
         }
     }

@@ -35,7 +35,7 @@
 //!
 //! ```
 //! use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
-//! use mbfi_ir::{ModuleBuilder, Type};
+//! use mbfi_ir::{CompiledModule, ModuleBuilder, Type};
 //!
 //! // Build a tiny program that sums 0..100 and prints the result.
 //! let mut mb = ModuleBuilder::new("sum");
@@ -56,8 +56,10 @@
 //! mb.set_entry(main);
 //! let module = mb.finish();
 //!
-//! // Profile the fault-free run, then run a small single bit-flip campaign.
-//! let golden = GoldenRun::capture(&module).unwrap();
+//! // Lower once, profile the fault-free run, then run a small single
+//! // bit-flip campaign.
+//! let code = CompiledModule::lower(&module);
+//! let golden = GoldenRun::capture_compiled(&code).unwrap();
 //! let spec = CampaignSpec {
 //!     technique: Technique::InjectOnRead,
 //!     model: FaultModel::single_bit(),
@@ -65,7 +67,7 @@
 //!     seed: 1,
 //!     ..CampaignSpec::default()
 //! };
-//! let result = Campaign::run(&module, &golden, &spec);
+//! let result = Campaign::run_compiled(&code, &golden, &spec);
 //! assert_eq!(result.total(), 50);
 //! ```
 
@@ -95,7 +97,6 @@ pub use fault_model::{FaultModel, WinSize};
 pub use golden::GoldenRun;
 pub use injector::{InjectionRecord, InjectorHook};
 pub use outcome::{classify, Outcome, OutcomeCounts};
-pub use pruning::{BitLevelPruner, DeadSite, PrunedCampaign};
 pub use replay::{Checkpoint, CheckpointConfig, CheckpointStore, ReplayCaptureError};
 pub use stats::IntervalMethod;
 pub use sweep::{

@@ -584,10 +584,11 @@ mod tests {
 
     #[test]
     fn replayed_experiments_equal_full_experiments() {
-        let m = workload(128);
-        let golden = GoldenRun::capture(&m).unwrap();
+        let code = CompiledModule::lower(&workload(128));
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
         let store =
-            CheckpointStore::capture(&m, &golden, CheckpointConfig::with_interval(64)).unwrap();
+            CheckpointStore::capture_compiled(&code, &golden, CheckpointConfig::with_interval(64))
+                .unwrap();
         for technique in Technique::ALL {
             for i in 0..40 {
                 let spec = ExperimentSpec::sample(
@@ -598,8 +599,8 @@ mod tests {
                     i,
                     10,
                 );
-                let full = Experiment::run(&m, &golden, &spec);
-                let replayed = Experiment::run_with_store(&m, &golden, &spec, Some(&store));
+                let full = Experiment::run_compiled(&code, &golden, &spec, None);
+                let replayed = Experiment::run_compiled(&code, &golden, &spec, Some(&store));
                 assert_eq!(
                     full, replayed,
                     "{technique} experiment {i} diverged under replay"

@@ -52,7 +52,7 @@ use crate::outcome::OutcomeCounts;
 use crate::replay::CheckpointStore;
 use mbfi_ir::CompiledModule;
 
-use super::plan::{run_span, Plan, PlanError};
+use super::plan::{run_span, Completion, Plan, PlanError};
 use super::{SweepCampaign, SweepCampaignResult, SweepConfig, SweepReport, SweepUnit};
 
 /// Owned per-workload artifacts for engine jobs: the [`SweepUnit`] fields
@@ -718,73 +718,41 @@ fn reap_client(sched: &mut Sched, client: u64) {
     }
 }
 
-/// Run one batch and apply the round/finish protocol — the engine's mirror
-/// of the scoped driver's `run_batch`, with job events in place of
-/// telemetry.  The protocol (completion counting, round-boundary
-/// evaluation, release, finalize) must match `run_batch` exactly; the
-/// byte-identity tests below and `tests/serve_equivalence.rs` pin it.
+/// Run one batch and apply the round protocol ([`Plan::complete_batch`],
+/// shared with the scoped driver), reporting through job events.
 fn run_engine_batch(worker: usize, job: &Job, cell: usize, b: usize) {
     let plan = &job.plans[cell];
     let unit = job.units[plan.unit].view();
     let (start, end) = plan.spans[b];
     let batch_start = Instant::now();
     let out = run_span(plan, b, &unit, job.keep_records);
-    let wall_ns = batch_start.elapsed().as_nanos() as u64;
-    let batch_counts = out.counts;
-    *plan.slots[b].lock().expect("sweep batch slot poisoned") = Some(out);
     let _ = job.events.send(JobEvent::BatchDone {
         cell,
         batch: b,
         experiments: u64::from(end - start),
-        counts: batch_counts,
-        wall_ns,
+        counts: out.counts,
+        wall_ns: batch_start.elapsed().as_nanos() as u64,
         worker,
     });
-    // Exactly one worker observes each round boundary: `fetch_add` hands out
-    // unique completion counts, and `released` only moves when the boundary
-    // worker advances it below.
-    let done = plan.completed.fetch_add(1, Ordering::AcqRel) + 1;
-    if done != plan.released.load(Ordering::Acquire) {
-        return;
-    }
-    let round = plan
-        .round_batch_ends
-        .iter()
-        .position(|&e| e == done)
-        .expect("released always equals a round boundary");
-    let last_round = round + 1 == plan.round_batch_ends.len();
-    let merged = (!last_round || plan.precision.is_some()).then(|| plan.merged_counts(done));
-    let finished = last_round
-        || plan
-            .precision
-            .as_ref()
-            .expect("fixed-n campaigns have exactly one round")
-            .satisfied(
-                merged
-                    .as_ref()
-                    .expect("merged counts computed for gated rounds"),
-            );
-    if let (Some(merged), Some(precision)) = (merged.as_ref(), plan.precision.as_ref()) {
-        let (sdc_hw, det_hw) = precision.half_widths(merged);
-        let _ = job.events.send(JobEvent::RoundDone {
-            cell,
-            round: round as u32 + 1,
-            experiments: merged.total(),
-            sdc_half_width_pct: sdc_hw,
-            detection_half_width_pct: det_hw,
-            stopped: finished,
-        });
-    }
-    if finished {
-        let result = plan.finalize(job.keep_records, done, round as u32 + 1);
-        let _ = job.events.send(JobEvent::CellFinished {
-            cell,
-            result: Box::new(result),
-        });
+    let completion = plan.complete_batch(
+        b,
+        out,
+        job.keep_records,
+        |round, merged, precision, stopped| {
+            let (sdc_hw, det_hw) = precision.half_widths(merged);
+            let _ = job.events.send(JobEvent::RoundDone {
+                cell,
+                round,
+                experiments: merged.total(),
+                sdc_half_width_pct: sdc_hw,
+                detection_half_width_pct: det_hw,
+                stopped,
+            });
+        },
+    );
+    if let Completion::Finished(result) = completion {
+        let _ = job.events.send(JobEvent::CellFinished { cell, result });
         job.live.fetch_sub(1, Ordering::AcqRel);
-    } else {
-        plan.released
-            .store(plan.round_batch_ends[round + 1], Ordering::Release);
     }
 }
 

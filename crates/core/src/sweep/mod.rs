@@ -59,7 +59,7 @@
 //! the grid (the `mbfi-bench` harness builds them once per `(workload,
 //! input size)` key in its `SweepCache`).
 //!
-//! [`crate::Campaign::run_compiled_with_store`] is itself implemented as a
+//! [`crate::Campaign::run_compiled_with`] is itself implemented as a
 //! single-campaign sweep, so there is exactly one execution engine.
 //!
 //! ## Two drivers, one core
@@ -98,7 +98,7 @@ use crate::replay::CheckpointStore;
 use crate::telemetry::{CellInfo, EventKind, Metric, NoopSink, TelemetryLevel, TelemetrySink};
 use mbfi_ir::CompiledModule;
 
-use plan::{run_span, run_span_timed, Plan};
+use plan::{run_span, run_span_timed, Completion, Plan};
 
 /// Per-workload artifacts shared by every campaign of a sweep: the module is
 /// lowered once, the golden run captured once, and the checkpoint store (if
@@ -296,20 +296,11 @@ impl Sweep {
 
     /// Run the grid, handing each campaign's result to `sink` as soon as its
     /// last batch completes (completion order; the `usize` is the campaign's
-    /// submission index).  Returns the deduplicated warnings.
+    /// submission index), while publishing live progress into a telemetry
+    /// sink (see [`Sweep::run_with`] for the observation-only contract).
+    /// Returns the deduplicated warnings.
     ///
     /// Each distinct warning is also printed to stderr once per sweep.
-    pub fn run_streamed(
-        units: &[SweepUnit<'_>],
-        campaigns: &[SweepCampaign],
-        config: &SweepConfig,
-        sink: impl FnMut(usize, SweepCampaignResult),
-    ) -> Vec<CampaignWarning> {
-        Self::run_streamed_with(units, campaigns, config, &NoopSink, sink)
-    }
-
-    /// [`Sweep::run_streamed`] publishing live progress into a telemetry
-    /// sink (see [`Sweep::run_with`] for the observation-only contract).
     pub fn run_streamed_with<S: TelemetrySink>(
         units: &[SweepUnit<'_>],
         campaigns: &[SweepCampaign],
@@ -635,7 +626,6 @@ fn run_batch<S: TelemetrySink>(
     }
     let batch_counts = out.counts;
     let batch_n = u64::from(end - start);
-    *plan.slots[b].lock().expect("sweep batch slot poisoned") = Some(out);
     if S::ENABLED {
         let wall_ns = batch_start.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         telemetry.worker_batch(t, batch_n, wall_ns, stolen);
@@ -649,115 +639,44 @@ fn run_batch<S: TelemetrySink>(
             stolen,
         });
     }
-    // Exactly one worker observes each round boundary: `fetch_add` hands out
-    // unique completion counts, and `released` only moves when the boundary
-    // worker advances it below.
-    let done = plan.completed.fetch_add(1, Ordering::AcqRel) + 1;
-    if done != plan.released.load(Ordering::Acquire) {
-        return;
-    }
-    let round = plan
-        .round_batch_ends
-        .iter()
-        .position(|&e| e == done)
-        .expect("released always equals a round boundary");
-    let last_round = round + 1 == plan.round_batch_ends.len();
-    // The merged counts feed both the stop rule and the telemetry round
-    // report; compute them once, and only when someone needs them.
-    let merged =
-        (!last_round || (S::ENABLED && plan.precision.is_some())).then(|| plan.merged_counts(done));
-    let finished = last_round
-        || plan
-            .precision
-            .as_ref()
-            .expect("fixed-n campaigns have exactly one round")
-            .satisfied(
-                merged
-                    .as_ref()
-                    .expect("merged counts computed for gated rounds"),
-            );
-    if S::ENABLED && plan.precision.is_some() {
-        if let (Some(merged), Some(precision)) = (merged.as_ref(), plan.precision.as_ref()) {
-            let (sdc_hw, det_hw) = precision.half_widths(merged);
-            telemetry.add(Metric::RoundsCompleted, 1);
-            telemetry.cell_status(index, round as u32 + 1, sdc_hw, det_hw, false);
-            telemetry.emit(EventKind::RoundDone {
-                cell: index,
-                round: round as u32 + 1,
-                experiments: merged.total(),
-                sdc_half_width_pct: sdc_hw,
-                detection_half_width_pct: det_hw,
-                stopped: finished,
-            });
+    let completion =
+        plan.complete_batch(b, out, keep_records, |round, merged, precision, stopped| {
+            if S::ENABLED {
+                let (sdc_hw, det_hw) = precision.half_widths(merged);
+                telemetry.add(Metric::RoundsCompleted, 1);
+                telemetry.cell_status(index, round, sdc_hw, det_hw, false);
+                telemetry.emit(EventKind::RoundDone {
+                    cell: index,
+                    round,
+                    experiments: merged.total(),
+                    sdc_half_width_pct: sdc_hw,
+                    detection_half_width_pct: det_hw,
+                    stopped,
+                });
+            }
+        });
+    match completion {
+        Completion::Pending => return,
+        Completion::Released => {}
+        Completion::Finished(result) => {
+            if S::ENABLED {
+                let rounds = result.result.adaptive.map_or(0, |status| status.rounds);
+                telemetry.add(Metric::CellsFinished, 1);
+                telemetry.cell_status(index, rounds, f64::NAN, f64::NAN, true);
+                telemetry.emit(EventKind::CellFinished {
+                    cell: index,
+                    experiments: result.result.total(),
+                    counts: result.result.counts,
+                    rounds,
+                });
+            }
+            let _ = tx.send((index, *result));
+            live_plans.fetch_sub(1, Ordering::AcqRel);
         }
-    }
-    if finished {
-        let rounds = if plan.precision.is_some() {
-            round as u32 + 1
-        } else {
-            0
-        };
-        let result = plan.finalize(keep_records, done, round as u32 + 1);
-        if S::ENABLED {
-            telemetry.add(Metric::CellsFinished, 1);
-            telemetry.cell_status(index, rounds, f64::NAN, f64::NAN, true);
-            telemetry.emit(EventKind::CellFinished {
-                cell: index,
-                experiments: result.result.total(),
-                counts: result.result.counts,
-                rounds,
-            });
-        }
-        let _ = tx.send((index, result));
-        live_plans.fetch_sub(1, Ordering::AcqRel);
-    } else {
-        plan.released
-            .store(plan.round_batch_ends[round + 1], Ordering::Release);
     }
     // Wake parked workers: either new batches were released or this campaign
     // finished (and idle workers may now be able to exit).
     parking.bump();
-}
-
-/// Convenience used by [`Campaign`]: run one campaign as a single-cell sweep.
-pub(crate) fn run_single(
-    code: &CompiledModule,
-    golden: &GoldenRun,
-    spec: &CampaignSpec,
-    store: Option<&CheckpointStore>,
-    precision: Option<Precision>,
-) -> CampaignResult {
-    run_single_with(code, golden, spec, store, precision, &NoopSink)
-}
-
-/// [`run_single`] with a telemetry sink threaded through the executor.
-pub(crate) fn run_single_with<S: TelemetrySink>(
-    code: &CompiledModule,
-    golden: &GoldenRun,
-    spec: &CampaignSpec,
-    store: Option<&CheckpointStore>,
-    precision: Option<Precision>,
-    telemetry: &S,
-) -> CampaignResult {
-    let units = [SweepUnit {
-        code,
-        golden,
-        store,
-    }];
-    let campaigns = [SweepCampaign {
-        unit: 0,
-        spec: *spec,
-    }];
-    let config = SweepConfig {
-        threads: spec.threads,
-        precision,
-        ..SweepConfig::default()
-    };
-    let mut out = None;
-    Sweep::run_streamed_with(&units, &campaigns, &config, telemetry, |_, result| {
-        out = Some(result.result);
-    });
-    out.expect("single-campaign sweep produced no result")
 }
 
 #[cfg(test)]
@@ -1219,10 +1138,16 @@ mod tests {
             .map(|spec| SweepCampaign { unit: 0, spec })
             .collect();
         let mut seen = vec![0u32; cells.len()];
-        Sweep::run_streamed(&units, &cells, &SweepConfig::default(), |index, result| {
-            seen[index] += 1;
-            assert_eq!(result.result.total(), 12);
-        });
+        Sweep::run_streamed_with(
+            &units,
+            &cells,
+            &SweepConfig::default(),
+            &NoopSink,
+            |index, result| {
+                seen[index] += 1;
+                assert_eq!(result.result.total(), 12);
+            },
+        );
         assert!(seen.iter().all(|&n| n == 1));
     }
 }

@@ -6,7 +6,9 @@
 //! ([`Sweep::run_streamed_with`](super::Sweep::run_streamed_with)) and the
 //! persistent [`SweepEngine`](super::SweepEngine) both claim batches through
 //! [`Plan::take_batch`], execute them through [`run_span`] /
-//! [`run_span_timed`], and fold the partials through [`Plan::finalize`].
+//! [`run_span_timed`], and hand each partial back through
+//! [`Plan::complete_batch`], which runs the round protocol (completion
+//! count, round gate, stop rule, release) and folds the finished campaign.
 //! Everything that makes results byte-identical across thread counts, batch
 //! sizes and steal schedules lives here, so the two drivers cannot diverge on
 //! what a cell computes — only on *when* and *by whom* each batch runs.
@@ -51,16 +53,16 @@ pub(crate) struct Plan {
     pub(crate) spans: Vec<(u32, u32)>,
     /// Cumulative batch count at each round boundary; fixed-n campaigns have
     /// exactly one "round" covering everything.
-    pub(crate) round_batch_ends: Vec<usize>,
+    round_batch_ends: Vec<usize>,
     /// The normalized precision spec; `None` = fixed-n.
     pub(crate) precision: Option<Precision>,
     pub(crate) max_hist: usize,
     cursor: AtomicUsize,
     /// Batches released so far; only ever advanced (to the next entry of
     /// `round_batch_ends`) by the unique worker that completes a round.
-    pub(crate) released: AtomicUsize,
-    pub(crate) completed: AtomicUsize,
-    pub(crate) slots: Vec<Mutex<Option<BatchOut>>>,
+    released: AtomicUsize,
+    completed: AtomicUsize,
+    slots: Vec<Mutex<Option<BatchOut>>>,
 }
 
 /// Why a campaign could not be planned.
@@ -86,6 +88,16 @@ impl std::fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+/// What completing one batch did to its campaign.
+pub(crate) enum Completion {
+    /// Not a round boundary: other batches of the round are still running.
+    Pending,
+    /// A round boundary that released the next round's batches.
+    Released,
+    /// The campaign finished; its folded result.
+    Finished(Box<SweepCampaignResult>),
+}
 
 /// The partial result of one batch.
 pub(crate) struct BatchOut {
@@ -241,9 +253,53 @@ impl Plan {
         }
     }
 
+    /// Store batch `b`'s partial and apply the round protocol shared by both
+    /// drivers.  Exactly one caller observes each round boundary:
+    /// `fetch_add` hands out unique completion counts, and `released` only
+    /// moves when that caller advances it here.  At an adaptive boundary the
+    /// merged counts of every completed batch (an index-order fold) feed the
+    /// stop rule, and `on_round(round, merged, precision, stopped)` reports
+    /// the decision before anything is released or finalized.
+    pub(crate) fn complete_batch(
+        &self,
+        b: usize,
+        out: BatchOut,
+        keep_records: bool,
+        on_round: impl FnOnce(u32, &OutcomeCounts, &Precision, bool),
+    ) -> Completion {
+        *self.slots[b].lock().expect("sweep batch slot poisoned") = Some(out);
+        let done = self.completed.fetch_add(1, Ordering::AcqRel) + 1;
+        if done != self.released.load(Ordering::Acquire) {
+            return Completion::Pending;
+        }
+        let round = self
+            .round_batch_ends
+            .iter()
+            .position(|&e| e == done)
+            .expect("released always equals a round boundary");
+        let last_round = round + 1 == self.round_batch_ends.len();
+        let mut finished = last_round;
+        if let Some(precision) = &self.precision {
+            let merged = self.merged_counts(done);
+            finished |= precision.satisfied(&merged);
+            on_round(round as u32 + 1, &merged, precision, finished);
+        }
+        if finished {
+            Completion::Finished(Box::new(self.finalize(
+                keep_records,
+                done,
+                round as u32 + 1,
+            )))
+        } else {
+            self.released
+                .store(self.round_batch_ends[round + 1], Ordering::Release);
+            Completion::Released
+        }
+    }
+
     /// Merged outcome counts of the first `batches` batch slots, in index
     /// order (all of them are complete when this is called).
-    pub(crate) fn merged_counts(&self, batches: usize) -> OutcomeCounts {
+    fn merged_counts(&self, batches: usize) -> OutcomeCounts {
         let mut counts = OutcomeCounts::default();
         for slot in &self.slots[..batches] {
             let guard = slot.lock().expect("sweep batch slot poisoned");
@@ -259,12 +315,7 @@ impl Plan {
     /// the final result.  Counts and histograms are commutative sums; records
     /// go back to their original experiment index.  `rounds` is the number of
     /// completed rounds (for the adaptive status).
-    pub(crate) fn finalize(
-        &self,
-        keep_records: bool,
-        batches: usize,
-        rounds: u32,
-    ) -> SweepCampaignResult {
+    fn finalize(&self, keep_records: bool, batches: usize, rounds: u32) -> SweepCampaignResult {
         let realized = batches
             .checked_sub(1)
             .map(|last| self.spans[last].1 as usize)
@@ -424,22 +475,93 @@ mod tests {
     use crate::technique::Technique;
     use mbfi_ir::{CompiledModule, ModuleBuilder, Type};
 
-    /// A budget one past `u32::MAX` used to wrap to zero experiments; it is
-    /// refused before anything is sized by it (with a store, the depth sort
-    /// would otherwise sample every spec first).
-    #[test]
-    fn budget_beyond_u32_is_an_error() {
+    fn tiny_unit_parts() -> (CompiledModule, GoldenRun) {
         let mut mb = ModuleBuilder::new("p");
         let main = mb.declare("main", &[], None);
         {
             let mut f = mb.define(main);
             let x = f.add(Type::I64, 40i64, 2i64);
-            f.print_i64(x);
+            let y = f.mul(Type::I64, x, 3i64);
+            f.print_i64(y);
             f.ret_void();
         }
         mb.set_entry(main);
         let code = CompiledModule::lower(&mb.finish());
         let golden = GoldenRun::capture_compiled(&code).unwrap();
+        (code, golden)
+    }
+
+    /// Drive every released batch of `plan` in index order through
+    /// [`Plan::complete_batch`], recording what each completion reported.
+    fn drive(plan: &Plan, unit: &SweepUnit<'_>) -> (Vec<&'static str>, Vec<(u32, u64, bool)>) {
+        let mut completions = Vec::new();
+        let mut rounds = Vec::new();
+        while let Some(b) = plan.take_batch() {
+            let out = run_span(plan, b, unit, false);
+            let completion = plan.complete_batch(b, out, false, |round, merged, _, stopped| {
+                rounds.push((round, merged.total(), stopped));
+            });
+            completions.push(match completion {
+                Completion::Pending => "pending",
+                Completion::Released => "released",
+                Completion::Finished(result) => {
+                    assert_eq!(result.result.total(), plan.spec.experiments as u64);
+                    "finished"
+                }
+            });
+        }
+        (completions, rounds)
+    }
+
+    /// The shared round protocol: batches inside a round are `Pending`, an
+    /// adaptive boundary that misses the target reports its merged round and
+    /// releases the next one, and the last batch of the last round finishes
+    /// the campaign exactly once.  Fixed-n plans are one round with no
+    /// round reports.
+    #[test]
+    fn complete_batch_gates_rounds_and_finishes_once() {
+        let (code, golden) = tiny_unit_parts();
+        let unit = SweepUnit {
+            code: &code,
+            golden: &golden,
+            store: None,
+        };
+        let campaign = SweepCampaign {
+            unit: 0,
+            spec: CampaignSpec {
+                technique: Technique::InjectOnRead,
+                model: FaultModel::single_bit(),
+                experiments: 6,
+                seed: 3,
+                hang_factor: 10,
+                threads: 1,
+            },
+        };
+        // Rounds end at 4, 6 and 8 experiments; an unreachable target runs
+        // them all.
+        let precision = Precision {
+            target_half_width_pct: 1e-9,
+            min_experiments: 4,
+            max_experiments: 8,
+            ..Precision::default()
+        };
+        let plan = Plan::new(&campaign, &unit, 2, 64, Some(precision)).unwrap();
+        let (completions, rounds) = drive(&plan, &unit);
+        assert_eq!(completions, ["pending", "released", "released", "finished"]);
+        assert_eq!(rounds, [(1, 4, false), (2, 6, false), (3, 8, true)]);
+
+        let plan = Plan::new(&campaign, &unit, 2, 64, None).unwrap();
+        let (completions, rounds) = drive(&plan, &unit);
+        assert_eq!(completions, ["pending", "pending", "finished"]);
+        assert!(rounds.is_empty());
+    }
+
+    /// A budget one past `u32::MAX` used to wrap to zero experiments; it is
+    /// refused before anything is sized by it (with a store, the depth sort
+    /// would otherwise sample every spec first).
+    #[test]
+    fn budget_beyond_u32_is_an_error() {
+        let (code, golden) = tiny_unit_parts();
         let store =
             CheckpointStore::capture_compiled(&code, &golden, CheckpointConfig::with_interval(1))
                 .unwrap();

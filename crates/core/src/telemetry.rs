@@ -85,8 +85,8 @@ impl TelemetryLevel {
 ///
 /// Counters are monotonic `u64` sums, cheap enough to bump from the hot path
 /// (one relaxed `fetch_add`).  The variants cover the whole stack: executor
-/// health (batches, steals, parking), replay savings, artifact-cache and
-/// pruning effectiveness.
+/// health (batches, steals, parking), replay savings, artifact-cache
+/// effectiveness, copy-on-write traffic and where the tail ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Metric {
@@ -123,35 +123,31 @@ pub enum Metric {
     CheckpointRestores = 13,
     /// Dynamic instructions skipped by checkpoint fast-forwarding.
     ReplayInstrsSkipped = 14,
-    /// Experiments skipped by bit-level static pruning (known-benign sites).
-    PruneSkippedExperiments = 15,
-    /// Experiments actually executed by a pruned campaign.
-    PruneExecutedExperiments = 16,
     /// 4 KiB chunks cloned because an experiment wrote to a chunk shared
     /// with a snapshot (the dirty-page cost of copy-on-write forking).
     /// Per-experiment, populated at [`TelemetryLevel::Full`] only.
-    CowChunksCopied = 17,
+    CowChunksCopied = 15,
     /// Bytes a deep-copy restore would have moved that copy-on-write
-    /// restores did not (zero when `MBFI_COW=off`).
-    CowRestoreBytesSaved = 18,
+    /// restores did not.
+    CowRestoreBytesSaved = 16,
     /// Dynamic instructions experiments executed under the injector hook
     /// (the tail up to the last flip, or to the end when it never lands).
     /// Per-experiment, populated at [`TelemetryLevel::Full`] only.
-    HookedInstrs = 19,
+    HookedInstrs = 17,
     /// Dynamic instructions experiments executed on the no-op loop after
     /// the injector let go.  Per-experiment, Full only.
-    HookFreeInstrs = 20,
+    HookFreeInstrs = 18,
     /// Experiments whose fault-free tail reached a golden checkpoint's exact
     /// state and so finished as the golden run.  Per-experiment, Full only.
-    ConvergedExperiments = 21,
+    ConvergedExperiments = 19,
     /// Golden-run dynamic instructions those convergence exits did not
     /// execute.  Per-experiment, Full only.
-    ConvergedInstrsSkipped = 22,
+    ConvergedInstrsSkipped = 20,
 }
 
 impl Metric {
     /// All metrics, in registry order (`m as usize` indexes this array).
-    pub const ALL: [Metric; 23] = [
+    pub const ALL: [Metric; 21] = [
         Metric::ExperimentsRun,
         Metric::BatchesRun,
         Metric::BatchesStolen,
@@ -167,8 +163,6 @@ impl Metric {
         Metric::CheckpointStoreCheckpoints,
         Metric::CheckpointRestores,
         Metric::ReplayInstrsSkipped,
-        Metric::PruneSkippedExperiments,
-        Metric::PruneExecutedExperiments,
         Metric::CowChunksCopied,
         Metric::CowRestoreBytesSaved,
         Metric::HookedInstrs,
@@ -195,8 +189,6 @@ impl Metric {
             Metric::CheckpointStoreCheckpoints => "checkpoint_store_checkpoints",
             Metric::CheckpointRestores => "checkpoint_restores",
             Metric::ReplayInstrsSkipped => "replay_instrs_skipped",
-            Metric::PruneSkippedExperiments => "prune_skipped_experiments",
-            Metric::PruneExecutedExperiments => "prune_executed_experiments",
             Metric::CowChunksCopied => "cow_chunks_copied",
             Metric::CowRestoreBytesSaved => "cow_restore_bytes_saved",
             Metric::HookedInstrs => "hooked_instrs",

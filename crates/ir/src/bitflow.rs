@@ -41,10 +41,9 @@
 //! reported live; when the fixed point fails to converge within its iteration
 //! cap the whole result saturates to fully-live, which is always sound.
 //!
-//! The contract is validated empirically by `prune_bench --check` and
-//! `tests/bitflow_equivalence.rs`: seeded samples of statically-dead sites
-//! are injected anyway across all 15 workloads and must land byte-identical
-//! to golden.
+//! The contract is validated empirically by `tests/bitflow_equivalence.rs`:
+//! 1,050 seeded samples of statically-dead sites are injected anyway across
+//! all 15 workloads and must land byte-identical to golden.
 
 use crate::compiled::{CInstr, CompiledModule};
 use crate::instr::{BinOp, CastOp, Intrinsic};

@@ -384,7 +384,8 @@ impl CompiledModule {
 
     /// Total static (instruction, register, bit) fault-site space
     /// `(read_bits, write_bits)` under the paper's 64-bit register model —
-    /// the denominator the bit-level pruner ([`crate::bitflow`]) collapses.
+    /// the denominator of the dead fractions [`crate::bitflow::BitSpace`]
+    /// reports.
     pub fn static_site_bits(&self) -> (u64, u64) {
         let reads: u64 = self.meta.iter().map(|m| u64::from(m.reg_reads)).sum();
         let writes = self.meta.iter().filter(|m| m.has_dest).count() as u64;

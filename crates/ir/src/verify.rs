@@ -90,7 +90,7 @@ impl fmt::Display for LintWarning {
 /// of which is ever consumed (directly dead, overwritten before use, or
 /// masked away), per the bit-level liveness of [`BitFlow::analyze`].
 ///
-/// These are exactly the inject-on-write sites the static pruner proves
+/// These are exactly the inject-on-write sites the analysis proves
 /// outcome-equivalent in full — usually a sign of redundant workload code.
 /// The warnings are advisory; execution is unaffected.
 pub fn lint_dead_defs(code: &CompiledModule) -> Vec<LintWarning> {

@@ -22,14 +22,13 @@
 //!
 //! All-zero growth (heap bumps, stack pushes) maps a single shared zero
 //! chunk, so untouched arena pages are free and shared between every VM in
-//! the process.  The `MBFI_COW` knob (see [`set_cow_enabled`]) can force
-//! restores back onto the deep-copy path; results are byte-identical either
-//! way — only the cost changes.
+//! the process.  [`Memory::fork_full`] and [`Memory::restore_full_from`]
+//! keep the deep-copy path as the reference implementation the CoW path is
+//! checked against (`crates/vm/tests/cow_memory.rs`).
 
 use crate::trap::Trap;
 use mbfi_ir::{Module, Type};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Size of one memory chunk.  4 KiB mirrors a hardware page: small enough
@@ -47,23 +46,6 @@ fn zero_chunk() -> Arc<Chunk> {
     Arc::clone(ZERO.get_or_init(|| Arc::new([0u8; CHUNK_BYTES])))
 }
 
-/// Process-wide switch between O(dirty-chunk) copy-on-write restores (the
-/// default) and the historical deep-copy restore path.  Flipping it never
-/// changes results — `snapshot_bench --check` enforces byte equivalence —
-/// only the per-experiment cost.  Read once per restore, so toggling while
-/// VMs are mid-run is safe but only affects subsequent restores.
-static COW_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable copy-on-write snapshot restores (the `MBFI_COW` knob).
-pub fn set_cow_enabled(enabled: bool) {
-    COW_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether copy-on-write snapshot restores are enabled.
-pub fn cow_enabled() -> bool {
-    COW_ENABLED.load(Ordering::Relaxed)
-}
-
 /// Copy-on-write cost counters, accumulated per [`Memory`].
 ///
 /// `cow_chunks_copied` counts 4 KiB chunk clones triggered by writes to
@@ -71,8 +53,8 @@ pub fn cow_enabled() -> bool {
 /// `restore_chunks_repointed` counts divergent chunks re-pointed during
 /// restores (the O(dirty) restore work).  `restore_bytes_saved` counts bytes
 /// a full-clone restore would have copied that the CoW restore did not; it
-/// stays zero when CoW is disabled, which is what the accounting cross-checks
-/// in `snapshot_bench --check` pin.
+/// stays zero on the deep-copy reference path, which is what the accounting
+/// cross-checks in `snapshot_bench --check` pin.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowStats {
     /// Chunks cloned because a write hit a shared chunk.
@@ -308,8 +290,8 @@ impl Segment {
         self.len = other.len;
     }
 
-    /// Deep-copy restore: the historical clone-everything path, kept as the
-    /// baseline the CoW path is benchmarked and cross-checked against.
+    /// Deep-copy restore: the clone-everything reference path the CoW
+    /// restore is cross-checked against.
     fn restore_full(&mut self, other: &Segment) {
         debug_assert_eq!(self.base, other.base);
         self.chunks.clear();
@@ -489,7 +471,7 @@ impl Memory {
     /// A zero-copy fork of `self` sharing every chunk (used to seed a fresh
     /// VM from a snapshot image).  Counts the full image as restore bytes
     /// saved, since a deep clone would have copied all of it.
-    pub fn fork_cow(&self) -> Memory {
+    pub fn fork(&self) -> Memory {
         let mut fork = self.clone();
         fork.reset_cow_stats();
         let chunks = fork.globals.chunks.len() + fork.heap.chunks.len() + fork.stack.chunks.len();
@@ -498,7 +480,7 @@ impl Memory {
     }
 
     /// A deep fork of `self`: every chunk is copied, no sharing.  The
-    /// clone-everything baseline for `MBFI_COW=off`.
+    /// reference implementation [`Memory::fork`] is checked against.
     pub fn fork_full(&self) -> Memory {
         let mut fork = self.clone();
         fork.reset_cow_stats();
@@ -510,36 +492,29 @@ impl Memory {
         fork
     }
 
-    /// Fork honouring the process-wide CoW switch.
-    pub fn fork(&self) -> Memory {
-        if cow_enabled() {
-            self.fork_cow()
-        } else {
-            self.fork_full()
-        }
-    }
-
-    /// Reset this memory to the state frozen in `other`, honouring the
-    /// process-wide CoW switch: O(dirty chunks) when enabled, a deep copy
-    /// when not.  Also resets the heap/stack high-water marks, truncating
-    /// chunk tables above the restored tops.
+    /// Reset this memory to the state frozen in `other` in O(dirty chunks):
+    /// only chunks that diverged are re-pointed.  Also resets the heap/stack
+    /// high-water marks, truncating chunk tables above the restored tops.
     pub fn restore_from(&mut self, other: &Memory) {
-        self.restore_from_with(other, cow_enabled());
+        debug_assert_eq!(self.layout, other.layout);
+        self.globals.restore_cow(&other.globals);
+        self.heap.restore_cow(&other.heap);
+        self.stack.restore_cow(&other.stack);
+        self.restore_tops(other);
     }
 
-    /// [`Memory::restore_from`] with an explicit mode, for tests and benches
-    /// that must not depend on the process-wide switch.
-    pub fn restore_from_with(&mut self, other: &Memory, cow: bool) {
+    /// [`Memory::restore_from`] by deep copy: every chunk is cloned and none
+    /// is shared.  The reference implementation the CoW restore is checked
+    /// against; it never counts restore bytes saved.
+    pub fn restore_full_from(&mut self, other: &Memory) {
         debug_assert_eq!(self.layout, other.layout);
-        if cow {
-            self.globals.restore_cow(&other.globals);
-            self.heap.restore_cow(&other.heap);
-            self.stack.restore_cow(&other.stack);
-        } else {
-            self.globals.restore_full(&other.globals);
-            self.heap.restore_full(&other.heap);
-            self.stack.restore_full(&other.stack);
-        }
+        self.globals.restore_full(&other.globals);
+        self.heap.restore_full(&other.heap);
+        self.stack.restore_full(&other.stack);
+        self.restore_tops(other);
+    }
+
+    fn restore_tops(&mut self, other: &Memory) {
         self.heap_top = other.heap_top;
         self.stack_top = other.stack_top;
         self.global_addrs.clone_from(&other.global_addrs);
@@ -857,7 +832,7 @@ mod tests {
         let mut mem = empty_memory();
         let a = mem.heap_alloc(4 * CHUNK_BYTES as u64).unwrap();
         mem.fill(a, 0x11, 4 * CHUNK_BYTES as u64).unwrap();
-        let mut fork = mem.fork_cow();
+        let mut fork = mem.fork();
         assert_eq!(fork.cow_stats().cow_chunks_copied, 0);
 
         // One store dirties exactly one chunk; the other three stay shared.
@@ -880,7 +855,7 @@ mod tests {
         mem.fill(a, 0x22, 8 * CHUNK_BYTES as u64).unwrap();
         let image = mem.snapshot_image();
 
-        let mut vm_mem = image.fork_cow();
+        let mut vm_mem = image.fork();
         vm_mem.reset_cow_stats();
         // Dirty chunks 2 and 5.
         vm_mem
@@ -892,7 +867,7 @@ mod tests {
         assert_eq!(vm_mem.cow_stats().cow_chunks_copied, 2);
 
         vm_mem.reset_cow_stats();
-        vm_mem.restore_from_with(&image, true);
+        vm_mem.restore_from(&image);
         let stats = vm_mem.cow_stats();
         assert_eq!(stats.restore_chunks_repointed, 2);
         assert!(stats.restore_bytes_saved >= (8 * CHUNK_BYTES) as u64);
@@ -913,14 +888,14 @@ mod tests {
         mem.write_bytes(a, &[5; 64]).unwrap();
         let image = mem.snapshot_image();
 
-        let mut cow = image.fork_cow();
+        let mut cow = image.fork();
         let mut full = image.fork_full();
         for m in [&mut cow, &mut full] {
             m.store(Type::I64, a, 0xdead).unwrap();
             m.stack_push(32).unwrap();
         }
-        cow.restore_from_with(&image, true);
-        full.restore_from_with(&image, false);
+        cow.restore_from(&image);
+        full.restore_full_from(&image);
 
         assert_eq!(
             cow.read_bytes(a, 2 * CHUNK_BYTES as u64).unwrap(),
@@ -938,7 +913,7 @@ mod tests {
         // Deep excursion: push 1 MiB of stack, then restore to the empty image.
         mem.stack_push(1 << 20).unwrap();
         let inflated = mem.resident_bytes();
-        mem.restore_from_with(&image, true);
+        mem.restore_from(&image);
         assert_eq!(mem.stack_top(), 0);
         assert!(mem.resident_bytes() < inflated);
         // Regrowth after the reset still reads as zero.
@@ -952,7 +927,7 @@ mod tests {
         let a = mem.heap_alloc(4 * CHUNK_BYTES as u64).unwrap();
         mem.fill(a, 1, 4 * CHUNK_BYTES as u64).unwrap();
         let image = mem.snapshot_image();
-        let fork = image.fork_cow();
+        let fork = image.fork();
 
         let mut seen = ChunkSet::default();
         let first = image.unique_bytes(&mut seen);

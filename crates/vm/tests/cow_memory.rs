@@ -2,8 +2,8 @@
 //! whose snapshot/restore traffic runs through the CoW fast path is driven
 //! through long random interleavings of allocation, boundary-straddling
 //! loads/stores, bulk ops, traps, snapshots and restores — in lockstep with
-//! an oracle `Memory` that restores through the deep-copy (`cow = false`)
-//! baseline.  After every step the two must agree byte for byte on every
+//! an oracle `Memory` that restores through the deep-copy reference
+//! ([`Memory::restore_full_from`]).  After every step the two must agree byte for byte on every
 //! observable: load results, bulk reads, traps, tops and mapped sizes.
 //!
 //! The oracle is honest because the deep-copy path never shares a chunk, so
@@ -196,8 +196,8 @@ fn random_interleavings_match_a_deep_copy_oracle() {
                     (!snapshots.is_empty()).then(|| rng.below(snapshots.len() as u64) as usize)
                 {
                     let (img_s, img_o) = &snapshots[i];
-                    subject.restore_from_with(img_s, true);
-                    oracle.restore_from_with(img_o, false);
+                    subject.restore_from(img_s);
+                    oracle.restore_full_from(img_o);
                     marks.retain(|&m| m <= subject.stack_top());
                     if marks.is_empty() {
                         marks.push(0);
@@ -231,7 +231,7 @@ fn random_interleavings_match_a_deep_copy_oracle() {
 fn traps_are_identical_and_do_not_cow() {
     let (mut subject, mut oracle) = fresh_pair();
     let image = subject.snapshot_image();
-    subject.restore_from_with(&image, true); // all chunks now shared
+    subject.restore_from(&image); // all chunks now shared
     let before = subject.cow_stats().cow_chunks_copied;
     let wild = 0xDEAD_BEEF_0000;
     assert_eq!(

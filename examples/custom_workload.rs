@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p mbfi-bench --example custom_workload`
 
 use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
-use mbfi_ir::{IcmpPred, Module, ModuleBuilder, Type};
+use mbfi_ir::{CompiledModule, IcmpPred, Module, ModuleBuilder, Type};
 use mbfi_workloads::{InputSize, Suite, Workload};
 
 /// A workload computing the Collatz trajectory lengths of 1..=N and printing
@@ -116,7 +116,8 @@ impl Workload for Collatz {
 fn main() {
     let workload = Collatz;
     let module = workload.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).expect("collatz golden run");
+    let code = CompiledModule::lower(&module);
+    let golden = GoldenRun::capture_compiled(&code).expect("collatz golden run");
 
     // Sanity check against the independent oracle, exactly like the built-in
     // workloads are tested.
@@ -138,8 +139,8 @@ fn main() {
         FaultModel::single_bit(),
         FaultModel::multi_bit(3, WinSize::Fixed(1)),
     ] {
-        let result = Campaign::run(
-            &module,
+        let result = Campaign::run_compiled(
+            &code,
             &golden,
             &CampaignSpec {
                 technique: Technique::InjectOnWrite,

@@ -4,7 +4,7 @@
 //! Run with: `cargo run -p mbfi-bench --example quickstart`
 
 use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Outcome, Technique};
-use mbfi_ir::{ModuleBuilder, Type};
+use mbfi_ir::{CompiledModule, ModuleBuilder, Type};
 
 fn main() {
     // 1. Build a program with the IR builder: it fills an array with squares
@@ -35,7 +35,9 @@ fn main() {
 
     // 2. Capture the golden (fault-free) run: output, dynamic instruction
     //    count and the injection candidate counts.
-    let golden = GoldenRun::capture(&module).expect("the quickstart program must run cleanly");
+    let code = CompiledModule::lower(&module);
+    let golden =
+        GoldenRun::capture_compiled(&code).expect("the quickstart program must run cleanly");
     println!(
         "golden output        : {}",
         String::from_utf8_lossy(&golden.output).trim()
@@ -57,7 +59,7 @@ fn main() {
             hang_factor: 20,
             threads: 0,
         };
-        let result = Campaign::run(&module, &golden, &spec);
+        let result = Campaign::run_compiled(&code, &golden, &spec);
         println!("{technique} — {} experiments", result.total());
         for outcome in Outcome::ALL {
             println!(

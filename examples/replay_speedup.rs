@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release -p mbfi-bench --example replay_speedup`
 
 use mbfi_core::replay::{CheckpointConfig, CheckpointStore};
-use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
+use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, NoopSink, Technique, WinSize};
+use mbfi_ir::CompiledModule;
 use mbfi_workloads::{workload_by_name, InputSize};
 use std::time::Instant;
 
@@ -14,7 +15,8 @@ fn main() {
     //    would.
     let workload = workload_by_name("dijkstra").expect("dijkstra is in the registry");
     let module = workload.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).expect("golden run");
+    let code = CompiledModule::lower(&module);
+    let golden = GoldenRun::capture_compiled(&code).expect("golden run");
     println!("workload             : {}", workload.name());
     println!("golden instructions  : {}", golden.dynamic_instrs);
 
@@ -28,7 +30,7 @@ fn main() {
         max_bytes: 64 << 20,
     };
     let capture_start = Instant::now();
-    let store = CheckpointStore::capture(&module, &golden, config).expect("capture");
+    let store = CheckpointStore::capture_compiled(&code, &golden, config).expect("capture");
     println!(
         "checkpoints          : {} every {} instrs ({:.1} MiB, captured in {:.1} ms)",
         store.len(),
@@ -47,10 +49,11 @@ fn main() {
         threads: 0,
     };
     let t = Instant::now();
-    let full = Campaign::run(&module, &golden, &spec);
+    let full = Campaign::run_compiled(&code, &golden, &spec);
     let full_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let replayed = Campaign::run_with_store(&module, &golden, &spec, Some(&store));
+    let replayed =
+        Campaign::run_compiled_with(&code, &golden, &spec, Some(&store), None, &NoopSink);
     let replay_secs = t.elapsed().as_secs_f64();
 
     // 4. The determinism contract: identical results, field for field.

@@ -9,6 +9,7 @@
 
 use mbfi_core::pruning::PessimisticAnalysis;
 use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
+use mbfi_ir::CompiledModule;
 use mbfi_workloads::{workload_by_name, InputSize};
 
 fn main() {
@@ -34,7 +35,8 @@ fn main() {
             }
         };
         let module = workload.build_module(InputSize::Tiny);
-        let golden = GoldenRun::capture(&module).expect("workload golden run");
+        let code = CompiledModule::lower(&module);
+        let golden = GoldenRun::capture_compiled(&code).expect("workload golden run");
 
         for technique in Technique::ALL {
             let spec = |model| CampaignSpec {
@@ -45,12 +47,12 @@ fn main() {
                 hang_factor: 20,
                 threads: 0,
             };
-            let single = Campaign::run(&module, &golden, &spec(FaultModel::single_bit()));
+            let single = Campaign::run_compiled(&code, &golden, &spec(FaultModel::single_bit()));
             let mut multi = Vec::new();
             for max_mbf in [2u32, 3, 5, 10] {
                 for win in [WinSize::Fixed(1), WinSize::Fixed(100)] {
-                    multi.push(Campaign::run(
-                        &module,
+                    multi.push(Campaign::run_compiled(
+                        &code,
                         &golden,
                         &spec(FaultModel::multi_bit(max_mbf, win)),
                     ));

@@ -5,6 +5,7 @@
 use mbfi_core::{
     Campaign, CampaignSpec, FaultModel, GoldenRun, Outcome, ParameterGrid, Technique, WinSize,
 };
+use mbfi_ir::CompiledModule;
 use mbfi_workloads::{all_workloads, workload_by_name, InputSize};
 
 /// Experiments per campaign in these tests (kept small for CI speed).
@@ -31,7 +32,8 @@ fn golden_runs_exist_for_every_workload() {
 fn single_bit_campaign_on_a_real_workload_produces_mixed_outcomes() {
     let w = workload_by_name("qsort").unwrap();
     let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&module);
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
     let spec = CampaignSpec {
         technique: Technique::InjectOnRead,
         model: FaultModel::single_bit(),
@@ -40,7 +42,7 @@ fn single_bit_campaign_on_a_real_workload_produces_mixed_outcomes() {
         hang_factor: 20,
         threads: 0,
     };
-    let result = Campaign::run(&module, &golden, &spec);
+    let result = Campaign::run_compiled(&code, &golden, &spec);
     assert_eq!(result.total(), 150);
     // A register-level fault-injection campaign on a pointer-heavy workload
     // must produce benign outcomes, detections and at least a handful of SDCs.
@@ -61,10 +63,11 @@ fn single_bit_campaign_on_a_real_workload_produces_mixed_outcomes() {
 fn multi_bit_campaigns_activate_more_errors_than_single_bit() {
     let w = workload_by_name("histo").unwrap();
     let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&module);
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
 
-    let single = Campaign::run(
-        &module,
+    let single = Campaign::run_compiled(
+        &code,
         &golden,
         &CampaignSpec {
             technique: Technique::InjectOnWrite,
@@ -75,8 +78,8 @@ fn multi_bit_campaigns_activate_more_errors_than_single_bit() {
             threads: 0,
         },
     );
-    let multi = Campaign::run(
-        &module,
+    let multi = Campaign::run_compiled(
+        &code,
         &golden,
         &CampaignSpec {
             technique: Technique::InjectOnWrite,
@@ -100,10 +103,11 @@ fn multi_bit_campaigns_activate_more_errors_than_single_bit() {
 fn outcome_fractions_sum_to_one_for_every_technique() {
     let w = workload_by_name("stringsearch").unwrap();
     let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&module);
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
     for technique in Technique::ALL {
-        let result = Campaign::run(
-            &module,
+        let result = Campaign::run_compiled(
+            &code,
             &golden,
             &CampaignSpec {
                 technique,
@@ -139,11 +143,11 @@ fn the_campaign_grid_matches_the_paper_dimensions() {
 fn same_register_sweep_runs_end_to_end_on_a_workload() {
     let w = workload_by_name("CRC32").unwrap();
     let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&module);
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
     let sweep = ParameterGrid::same_register_sweep(Technique::InjectOnWrite);
-    let results = Campaign::run_points(&module, &golden, &sweep[..3], 40, 17);
-    assert_eq!(results.len(), 3);
-    for r in &results {
+    for point in &sweep[..3] {
+        let r = Campaign::run_compiled(&code, &golden, &CampaignSpec::from_point(*point, 40, 17));
         assert_eq!(r.total(), 40);
         assert!(r.sdc_pct() <= 100.0);
     }
@@ -168,8 +172,8 @@ fn error_space_sizes_reflect_candidate_counts() {
 /// its result reports the realized precision.
 #[test]
 fn adaptive_campaign_warns_when_the_budget_outgrows_the_space() {
-    use mbfi::ir::{CompiledModule, ModuleBuilder, Type};
-    use mbfi_core::{CampaignWarning, Precision};
+    use mbfi::ir::{ModuleBuilder, Type};
+    use mbfi_core::{CampaignWarning, NoopSink, Precision};
 
     // A tiny straight-line module: few candidates, so a modest adaptive
     // budget exceeds d·b.
@@ -185,7 +189,7 @@ fn adaptive_campaign_warns_when_the_budget_outgrows_the_space() {
     mb.set_entry(main);
     let module = mb.finish();
     let code = CompiledModule::lower(&module);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
     let candidates = golden.candidates(Technique::InjectOnRead);
     let space = candidates * 64;
     assert!(space < 600, "test module must stay tiny (space = {space})");
@@ -204,7 +208,7 @@ fn adaptive_campaign_warns_when_the_budget_outgrows_the_space() {
         max_experiments: space as usize + 40,
         ..Precision::default()
     };
-    let r = Campaign::run_adaptive(&code, &golden, &spec, None, &precision);
+    let r = Campaign::run_compiled_with(&code, &golden, &spec, None, Some(precision), &NoopSink);
     assert_eq!(r.total(), space + 40, "the cell runs its whole budget");
     assert_eq!(
         r.warnings,
@@ -218,15 +222,16 @@ fn adaptive_campaign_warns_when_the_budget_outgrows_the_space() {
     assert!(status.realized_half_width_pct() > 0.0001);
 
     // The same cell with a budget inside the space carries no warning.
-    let r = Campaign::run_adaptive(
+    let r = Campaign::run_compiled_with(
         &code,
         &golden,
         &spec,
         None,
-        &Precision {
+        Some(Precision {
             max_experiments: space as usize / 2,
             ..precision
-        },
+        }),
+        &NoopSink,
     );
     assert!(r.warnings.is_empty(), "warnings: {:?}", r.warnings);
 }

@@ -4,6 +4,7 @@
 
 use mbfi_core::pruning::{ActivationAnalysis, LocationAnalysis, PessimisticAnalysis};
 use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
+use mbfi_ir::CompiledModule;
 use mbfi_workloads::{workload_by_name, InputSize};
 
 #[test]
@@ -12,12 +13,13 @@ fn activation_analysis_bounds_max_mbf_like_rq1() {
     // experiments crash or finish first.
     let w = workload_by_name("qsort").unwrap();
     let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&module);
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
 
     let mut campaigns = Vec::new();
     for win in [WinSize::Fixed(1), WinSize::Fixed(10), WinSize::Fixed(100)] {
-        campaigns.push(Campaign::run(
-            &module,
+        campaigns.push(Campaign::run_compiled(
+            &code,
             &golden,
             &CampaignSpec {
                 technique: Technique::InjectOnRead,
@@ -48,10 +50,11 @@ fn activation_analysis_bounds_max_mbf_like_rq1() {
 fn pessimistic_analysis_compares_single_and_multi_bit_models() {
     let w = workload_by_name("susan_corners").unwrap();
     let module = w.build_module(InputSize::Tiny);
-    let golden = GoldenRun::capture(&module).unwrap();
+    let code = CompiledModule::lower(&module);
+    let golden = GoldenRun::capture_compiled(&code).unwrap();
 
-    let single = Campaign::run(
-        &module,
+    let single = Campaign::run_compiled(
+        &code,
         &golden,
         &CampaignSpec {
             technique: Technique::InjectOnWrite,
@@ -65,8 +68,8 @@ fn pessimistic_analysis_compares_single_and_multi_bit_models() {
     let mut multi = Vec::new();
     for max_mbf in [2u32, 3, 5] {
         for win in [WinSize::Fixed(1), WinSize::Fixed(10)] {
-            multi.push(Campaign::run(
-                &module,
+            multi.push(Campaign::run_compiled(
+                &code,
                 &golden,
                 &CampaignSpec {
                     technique: Technique::InjectOnWrite,

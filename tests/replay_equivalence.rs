@@ -6,8 +6,8 @@
 
 use mbfi_core::replay::{last_quartile_target, CheckpointConfig, CheckpointStore};
 use mbfi_core::{
-    Campaign, CampaignSpec, Experiment, ExperimentSpec, FaultModel, GoldenRun, Metric, Outcome,
-    Technique, TelemetryHub, TelemetryLevel, WinSize,
+    Campaign, CampaignSpec, Experiment, ExperimentSpec, FaultModel, GoldenRun, Metric, NoopSink,
+    Outcome, Technique, TelemetryHub, TelemetryLevel, WinSize,
 };
 use mbfi_ir::CompiledModule;
 use mbfi_workloads::{all_workloads, InputSize};
@@ -25,7 +25,8 @@ const BUDGET_BYTES: usize = 8 << 20;
 fn replay_campaigns_are_byte_identical_for_every_workload() {
     for w in all_workloads() {
         let module = w.build_module(InputSize::Tiny);
-        let golden = GoldenRun::capture(&module)
+        let code = CompiledModule::lower(&module);
+        let golden = GoldenRun::capture_compiled(&code)
             .unwrap_or_else(|e| panic!("golden run of {} failed: {e}", w.name()));
         let spec = CampaignSpec {
             technique: Technique::InjectOnRead,
@@ -35,10 +36,10 @@ fn replay_campaigns_are_byte_identical_for_every_workload() {
             hang_factor: 8,
             threads: 2,
         };
-        let full = Campaign::run(&module, &golden, &spec);
+        let full = Campaign::run_compiled(&code, &golden, &spec);
         for k in INTERVALS {
-            let store = CheckpointStore::capture(
-                &module,
+            let store = CheckpointStore::capture_compiled(
+                &code,
                 &golden,
                 CheckpointConfig {
                     interval: k,
@@ -46,7 +47,8 @@ fn replay_campaigns_are_byte_identical_for_every_workload() {
                 },
             )
             .unwrap_or_else(|e| panic!("capture of {} (K={k}) failed: {e}", w.name()));
-            let replayed = Campaign::run_with_store(&module, &golden, &spec, Some(&store));
+            let replayed =
+                Campaign::run_compiled_with(&code, &golden, &spec, Some(&store), None, &NoopSink);
             assert_eq!(
                 full,
                 replayed,
@@ -61,11 +63,12 @@ fn replay_campaigns_are_byte_identical_for_every_workload() {
 fn replay_experiments_are_byte_identical_for_every_workload() {
     for w in all_workloads() {
         let module = w.build_module(InputSize::Tiny);
-        let golden = GoldenRun::capture(&module)
+        let code = CompiledModule::lower(&module);
+        let golden = GoldenRun::capture_compiled(&code)
             .unwrap_or_else(|e| panic!("golden run of {} failed: {e}", w.name()));
         for k in INTERVALS {
-            let store = CheckpointStore::capture(
-                &module,
+            let store = CheckpointStore::capture_compiled(
+                &code,
                 &golden,
                 CheckpointConfig {
                     interval: k,
@@ -85,8 +88,8 @@ fn replay_experiments_are_byte_identical_for_every_workload() {
                     i as u64,
                     8,
                 );
-                let full = Experiment::run(&module, &golden, &spec);
-                let replayed = Experiment::run_with_store(&module, &golden, &spec, Some(&store));
+                let full = Experiment::run_compiled(&code, &golden, &spec, None);
+                let replayed = Experiment::run_compiled(&code, &golden, &spec, Some(&store));
                 assert_eq!(
                     full,
                     replayed,
@@ -106,9 +109,10 @@ fn late_injections_replay_identically() {
     for name in ["qsort", "CRC32", "histo"] {
         let w = mbfi_workloads::workload_by_name(name).unwrap();
         let module = w.build_module(InputSize::Tiny);
-        let golden = GoldenRun::capture(&module).unwrap();
-        let store = CheckpointStore::capture(
-            &module,
+        let code = CompiledModule::lower(&module);
+        let golden = GoldenRun::capture_compiled(&code).unwrap();
+        let store = CheckpointStore::capture_compiled(
+            &code,
             &golden,
             CheckpointConfig {
                 interval: (golden.dynamic_instrs / 64).max(1),
@@ -128,8 +132,8 @@ fn late_injections_replay_identically() {
                     8,
                 );
                 spec.first_target = last_quartile_target(candidates, spec.first_target);
-                let full = Experiment::run(&module, &golden, &spec);
-                let replayed = Experiment::run_with_store(&module, &golden, &spec, Some(&store));
+                let full = Experiment::run_compiled(&code, &golden, &spec, None);
+                let replayed = Experiment::run_compiled(&code, &golden, &spec, Some(&store));
                 assert_eq!(full, replayed, "{name} {technique} late injection {i}");
             }
         }
@@ -146,11 +150,11 @@ fn windowed_multi_bit_replay_matches_the_hooked_walker() {
     for w in all_workloads() {
         let module = w.build_module(InputSize::Tiny);
         let code = CompiledModule::lower(&module);
-        let golden = GoldenRun::capture(&module)
+        let golden = GoldenRun::capture_compiled(&code)
             .unwrap_or_else(|e| panic!("golden run of {} failed: {e}", w.name()));
         for k in INTERVALS {
-            let store = CheckpointStore::capture(
-                &module,
+            let store = CheckpointStore::capture_compiled(
+                &code,
                 &golden,
                 CheckpointConfig {
                     interval: k,

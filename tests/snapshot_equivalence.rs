@@ -1,25 +1,29 @@
 //! The copy-on-write determinism contract, as a test suite: for **every**
-//! registry workload, campaign results are byte-identical across the full
-//! grid of replay {off, on} × CoW {on, off} × worker threads {1, 4, 8}.
-//! CoW forking and O(dirty-chunk) restores are pure execution-cost
+//! registry workload, campaign results are byte-identical across replay
+//! {off, on} × worker threads {1, 4, 8}, against a store-less single-worker
+//! baseline.  Replayed experiments fork shared checkpoints through CoW
+//! memory; forking and O(dirty-chunk) restores are pure execution-cost
 //! optimisations — no sampled target, injected value, outcome, or histogram
-//! may move, and the per-experiment results must match field for field.
+//! may move.
 //!
-//! Kept as one `#[test]` on purpose: the CoW switch is process-global
-//! (`set_cow_enabled`), so the grid must not run concurrently with itself.
-//! The suite lives in its own integration-test binary, which is its own
-//! process, so toggling here cannot race the rest of the workspace tests.
+//! Two campaign shapes: a windowed double flip against a dense store
+//! (golden / 16), and a three-flip same-instruction burst with a tight hang
+//! factor against the default checkpoint interval.  The CoW memory engine
+//! itself is checked against its deep-copy reference in
+//! `crates/vm/tests/cow_memory.rs`.
 
 use mbfi_core::replay::{CheckpointConfig, CheckpointStore};
-use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, Technique, WinSize};
+use mbfi_core::{Campaign, CampaignSpec, FaultModel, GoldenRun, NoopSink, Technique, WinSize};
 use mbfi_ir::CompiledModule;
-use mbfi_vm::set_cow_enabled;
 use mbfi_workloads::{all_workloads, InputSize};
 
 const THREADS: [usize; 3] = [1, 4, 8];
 
-#[test]
-fn cow_campaigns_are_byte_identical_across_replay_cow_and_threads() {
+/// Run `spec` (with its seed mixed with each workload's golden length) on
+/// every workload with and without a checkpoint store of the given interval,
+/// at every thread count, and require each result to equal the store-less
+/// single-worker baseline.
+fn assert_replay_and_threads_invariant(spec: CampaignSpec, interval: impl Fn(&GoldenRun) -> u64) {
     for w in all_workloads() {
         let module = w.build_module(InputSize::Tiny);
         let code = CompiledModule::lower(&module);
@@ -28,46 +32,62 @@ fn cow_campaigns_are_byte_identical_across_replay_cow_and_threads() {
         let store = CheckpointStore::capture_compiled(
             &code,
             &golden,
-            CheckpointConfig::with_interval((golden.dynamic_instrs / 16).max(1)),
+            CheckpointConfig::with_interval(interval(&golden)),
         )
         .unwrap_or_else(|e| panic!("capture of {} failed: {e}", w.name()));
         let mut spec = CampaignSpec {
-            technique: Technique::InjectOnRead,
-            model: FaultModel::multi_bit(2, WinSize::Fixed(8)),
-            experiments: 6,
-            seed: 0x5EC0 ^ golden.dynamic_instrs,
-            hang_factor: 8,
+            seed: spec.seed ^ golden.dynamic_instrs,
             threads: 1,
+            ..spec
         };
-
-        // Baseline: deep-copy restores, no checkpoint store, single worker.
-        set_cow_enabled(false);
         let baseline = Campaign::run_compiled(&code, &golden, &spec);
 
         for replay in [false, true] {
-            for cow in [false, true] {
-                for threads in THREADS {
-                    spec.threads = threads;
-                    set_cow_enabled(cow);
-                    let mut got = if replay {
-                        Campaign::run_compiled_with_store(&code, &golden, &spec, Some(&store))
-                    } else {
-                        Campaign::run_compiled(&code, &golden, &spec)
-                    };
-                    // The result echoes its spec; the thread count is the one
-                    // knob the grid legitimately varies.
-                    got.spec.threads = baseline.spec.threads;
-                    assert_eq!(
-                        baseline,
-                        got,
-                        "{}: campaign diverged at replay={replay} cow={cow} threads={threads}",
-                        w.name()
-                    );
-                }
+            for threads in THREADS {
+                spec.threads = threads;
+                let store = replay.then_some(&store);
+                let mut got =
+                    Campaign::run_compiled_with(&code, &golden, &spec, store, None, &NoopSink);
+                // The result echoes its spec; the thread count is the one
+                // knob the grid legitimately varies.
+                got.spec.threads = baseline.spec.threads;
+                assert_eq!(
+                    baseline,
+                    got,
+                    "{}: campaign diverged at replay={replay} threads={threads}",
+                    w.name()
+                );
             }
         }
     }
-    // Leave the process-global switch at its default for anything that runs
-    // after this test in the same binary.
-    set_cow_enabled(true);
+}
+
+#[test]
+fn cow_campaigns_are_byte_identical_across_replay_and_threads() {
+    assert_replay_and_threads_invariant(
+        CampaignSpec {
+            technique: Technique::InjectOnRead,
+            model: FaultModel::multi_bit(2, WinSize::Fixed(8)),
+            experiments: 6,
+            seed: 0x5EC0,
+            hang_factor: 8,
+            threads: 1,
+        },
+        |golden| (golden.dynamic_instrs / 16).max(1),
+    );
+}
+
+#[test]
+fn burst_campaigns_are_byte_identical_across_replay_and_threads_at_the_default_interval() {
+    assert_replay_and_threads_invariant(
+        CampaignSpec {
+            technique: Technique::InjectOnRead,
+            model: FaultModel::multi_bit(3, WinSize::Fixed(0)),
+            experiments: 24,
+            seed: 0xC0B7,
+            hang_factor: 4,
+            threads: 1,
+        },
+        GoldenRun::default_checkpoint_interval,
+    );
 }

@@ -1,6 +1,5 @@
 //! The telemetry plane's observer contract, as a test suite: attaching a
-//! [`TelemetryHub`] at any level to a sweep, a campaign or a pruned campaign
-//! must leave every result byte-identical to the untelemetered run across
+//! [`TelemetryHub`] at any level to a sweep or a campaign must leave every result byte-identical to the untelemetered run across
 //! sweep thread counts (1, 4, 8); the hub's snapshot totals must exactly
 //! equal the authoritative `SweepReport`; and the drained JSONL event stream
 //! must replay through [`MonitorState`] — the `mbfi-monitor` pipeline — into
@@ -8,8 +7,8 @@
 
 use mbfi_bench::harness::{self, HarnessConfig, WorkloadData};
 use mbfi_core::{
-    BitLevelPruner, Campaign, FaultModel, Metric, MonitorState, Precision, Sweep, SweepCampaign,
-    SweepConfig, SweepReport, SweepUnit, Technique, TelemetryHub, TelemetryLevel, WinSize,
+    Campaign, FaultModel, Metric, MonitorState, Precision, Sweep, SweepCampaign, SweepConfig,
+    SweepReport, SweepUnit, Technique, TelemetryHub, TelemetryLevel, WinSize,
 };
 
 const EXPERIMENTS: usize = 8;
@@ -177,11 +176,10 @@ fn drained_stream_replays_into_clean_monitor_state() {
     assert!(headless.contains(&format!("{total} experiments")));
 }
 
-/// The single-campaign and pruned-campaign telemetry entry points are
-/// observers too: identical results, and the pruning metrics account for
-/// every experiment.
+/// The single-campaign telemetry entry point is an observer too: identical
+/// results, and the experiment counter accounts for every experiment.
 #[test]
-fn campaign_and_pruning_telemetry_observe_without_perturbing() {
+fn campaign_telemetry_observes_without_perturbing() {
     let data = fixture();
     let w = &data[0];
     let cfg = HarnessConfig {
@@ -192,28 +190,10 @@ fn campaign_and_pruning_telemetry_observe_without_perturbing() {
 
     let base = Campaign::run_compiled(&w.code, &w.golden, &spec);
     let hub = TelemetryHub::new(TelemetryLevel::Full);
-    let observed = Campaign::run_compiled_telemetry(&w.code, &w.golden, &spec, None, &hub);
+    let observed = Campaign::run_compiled_with(&w.code, &w.golden, &spec, None, None, &hub);
     assert_eq!(observed, base, "campaign telemetry perturbed the result");
     assert_eq!(
         hub.snapshot().counter(Metric::ExperimentsRun),
         base.counts.total()
-    );
-
-    let pruner = BitLevelPruner::analyze(&w.code);
-    let plain = pruner.run_campaign_pruned(&w.code, &w.golden, &spec);
-    let hub = TelemetryHub::new(TelemetryLevel::Counters);
-    let pruned = pruner.run_campaign_pruned_with(&w.code, &w.golden, &spec, &hub);
-    assert_eq!(pruned.result, plain.result);
-    assert_eq!(pruned.skipped, plain.skipped);
-    let snapshot = hub.snapshot();
-    assert_eq!(
-        snapshot.counter(Metric::PruneSkippedExperiments),
-        pruned.skipped
-    );
-    assert_eq!(
-        snapshot.counter(Metric::PruneSkippedExperiments)
-            + snapshot.counter(Metric::PruneExecutedExperiments),
-        pruned.result.counts.total(),
-        "pruning metrics must account for every experiment"
     );
 }
